@@ -45,7 +45,7 @@ print(f"  converged: {metrics.converged}, "
 print("\nschedule audits over one round-robin cycle and a starved prefix")
 cycle = pair_count(n)
 print(f"  round-robin, {cycle} steps: "
-      f"{fairness_audit((RoundRobin(n).pair_at(t) for t in range(cycle)), n)}")
+      f"{fairness_audit(zip(*RoundRobin(n).pairs(0, cycle)), n)}")
 starved = StarvationAdversary(n, excluded=(0, 1), release_step=2**62)
 print(f"  adversary, 12 steps:  "
-      f"{fairness_audit((starved.pair_at(t) for t in range(12)), n)}")
+      f"{fairness_audit(zip(*starved.pairs(0, 12)), n)}")

@@ -13,12 +13,10 @@ verify checks runs against those predictions end to end.
 
 from .engine import (Configuration, FixedSteps, InvariantViolation,
                      RunMetrics, RunResult, RunTrace, StopPolicy, TraceEvent,
-                     UntilQuiescent, init_configuration, is_quiescent, run,
-                     step)
+                     UntilQuiescent, init_configuration, is_quiescent, run)
 from .oracle import (GreedyPartition, braket_balanced, brute_majority,
                      circle_braket_set, greedy_partition,
-                     majority_by_partition, mod_range, potential_less,
-                     predicted_stable_multiset)
+                     majority_by_partition, predicted_stable_multiset)
 from .protocol import (AgentState, InteractionResult, all_states,
                        apply_interaction, init_agent, weight)
 from .schedulers import (AgentPair, RoundRobin, Scheduler,
@@ -40,9 +38,8 @@ __all__ = [
     "apply_interaction", "braket_balanced", "brute_majority", "canonical_pair",
     "checked_run", "circle_braket_set", "enumerate_instances",
     "fairness_audit", "greedy_partition", "init_agent", "init_configuration",
-    "is_quiescent", "majority_by_partition", "make_scheduler", "mod_range",
-    "pair_count", "pair_from_index", "pair_index", "potential_less",
-    "predicted_stable_multiset", "random_instance", "reachable_state_set",
-    "rotation_canonical", "run", "step", "verify_battery", "weight",
-    "__version__",
+    "is_quiescent", "majority_by_partition", "make_scheduler", "pair_count",
+    "pair_from_index", "pair_index", "predicted_stable_multiset",
+    "random_instance", "reachable_state_set", "rotation_canonical", "run",
+    "verify_battery", "weight", "__version__",
 ]

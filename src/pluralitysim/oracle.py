@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .protocol import check_k
-
 # A multiset of (bra, ket) pairs, as counts.
 BraKetMultiset = Counter
 
@@ -94,20 +92,6 @@ def brute_majority(input_colors) -> tuple[int, bool]:
     return min(winners), len(winners) == 1
 
 
-def potential_less(weights_a, weights_b) -> bool:
-    """Lexicographic order on two sorted-ascending weight vectors.
-
-    True iff weights_a comes strictly before weights_b. This is the order
-    the configuration potential follows: it must strictly drop at every
-    ket exchange.
-    """
-    a = tuple(weights_a)
-    b = tuple(weights_b)
-    if len(a) != len(b):
-        raise ValueError(f"weight vectors differ in length: {len(a)} vs {len(b)}")
-    return a < b
-
-
 def braket_balanced(braket_counts: BraKetMultiset) -> bool:
     """True iff every color has as many bras as kets in the multiset."""
     bras: Counter = Counter()
@@ -116,26 +100,6 @@ def braket_balanced(braket_counts: BraKetMultiset) -> bool:
         bras[bra] += mult
         kets[ket] += mult
     return bras == kets
-
-
-def mod_range(x: int, y: int, p: int, closed: bool = True) -> set[int]:
-    """Residues reached walking the circle mod p from x to y.
-
-    Closed ranges include both endpoints: [2,7] mod 10 is {2,...,7} and
-    wrapping works, e.g. the open range (8,3) mod 10 is {9, 0, 1, 2}.
-    Degenerate cases: [x,x] is {x mod p}; the open range (x,x) walks the
-    whole circle and yields every residue except x, which follows the
-    index formula rather than intuition; (x, x+1) is empty.
-    """
-    check_k(p)
-    if x < 0 or y < 0:
-        raise ValueError(f"range endpoints must be non-negative, got ({x}, {y})")
-    distance = (y - x) % p
-    if closed:
-        return {(x + t) % p for t in range(distance + 1)}
-    if distance == 0:
-        distance = p
-    return {(x + t) % p for t in range(1, distance)}
 
 
 def majority_by_partition(input_colors) -> tuple[int, bool]:

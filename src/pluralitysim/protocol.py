@@ -14,6 +14,7 @@ and sequencing live in the engine module.
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 from typing import NamedTuple
 
@@ -35,18 +36,39 @@ class InteractionResult(NamedTuple):
     out_changed: bool   # at least one out field changed value
 
 
+def _integer(value) -> int | None:
+    # Any integer type, numpy's included, as a plain int; None for
+    # anything else. bool is an int subclass but never a color or a k.
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def check_k(k: int) -> int:
-    """Validate the number of colors; the circle needs k >= 1."""
-    if not isinstance(k, int) or k < 1:
+    """Validate the number of colors; the circle needs k >= 1.
+
+    Returns k as a plain int.
+    """
+    value = _integer(k)
+    if value is None or value < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    return k
+    return value
 
 
 def check_color(value: int, k: int) -> int:
-    """Validate one color against the circle [0, k-1]."""
-    if not isinstance(value, int) or not 0 <= value < k:
+    """Validate one color against the circle [0, k-1].
+
+    Returns the color as a plain int.
+    """
+    color = _integer(value)
+    if color is None:
+        raise ValueError(f"color {value!r} is not an integer")
+    if not 0 <= color < k:
         raise ValueError(f"color {value!r} outside [0, {k - 1}]")
-    return value
+    return color
 
 
 def validate_state(state: AgentState, k: int) -> AgentState:
@@ -71,9 +93,8 @@ def weight(bra: int, ket: int, k: int) -> int:
 
 def init_agent(input_color: int, k: int) -> AgentState:
     """Initial state of an agent holding ``input_color``: a self-loop on it."""
-    check_k(k)
-    check_color(input_color, k)
-    return AgentState(input_color, input_color, input_color)
+    color = check_color(input_color, check_k(k))
+    return AgentState(color, color, color)
 
 
 def _interact(a: AgentState, b: AgentState, k: int) -> InteractionResult:

@@ -1,16 +1,18 @@
 """Pair schedules: who interacts at each step.
 
-A scheduler maps a step index to one unordered pair of agent indices,
-deterministically. Pairs are canonical tuples (first, second) with
-first < second; the interaction rule is symmetric, so nothing is lost by
-ignoring order. RoundRobin cycles the canonical pair list in lexicographic
-order and is weakly fair by construction: every pair recurs in every window
-of n*(n-1)/2 steps. UniformRandom draws pairs independently from a seeded
-generator and is weakly fair with probability one, but gives no per-sample
-guarantee; tests that need guaranteed convergence use RoundRobin.
-StarvationAdversary withholds one pair until a release step, deliberately
-violating weak fairness, so that tests can show safety holds anyway and
-that convergence genuinely needs fairness.
+A scheduler maps each step index to one unordered pair of agent indices,
+deterministically. pairs(start, count) returns the pairs of a run of
+consecutive steps as two integer arrays (firsts, seconds) with
+firsts < seconds elementwise, and pair_at(step) is its one-step form;
+the interaction rule is symmetric, so nothing is lost by ignoring order.
+RoundRobin cycles the canonical pair list in lexicographic order and is
+weakly fair by construction: every pair recurs in every window of
+n*(n-1)/2 steps. UniformRandom draws pairs independently from a seeded
+generator and is weakly fair with probability one, but gives no
+per-sample guarantee; tests that need guaranteed convergence use
+RoundRobin. StarvationAdversary withholds one pair until a release step,
+deliberately violating weak fairness, so that tests can show safety holds
+anyway and that convergence genuinely needs fairness.
 """
 
 from __future__ import annotations
@@ -71,7 +73,45 @@ def _check_step(step: int) -> int:
     return step
 
 
-class RoundRobin:
+def _check_span(start: int, count: int, n: int) -> int:
+    # Validates a pairs() request; returns the number of canonical pairs.
+    _check_step(start)
+    if not isinstance(count, int) or count < 0:
+        raise ValueError(f"pair count must be a non-negative integer, got {count!r}")
+    total = pair_count(n)
+    if total == 0:
+        raise ValueError(f"scheduler needs at least two agents, got n={n}")
+    return total
+
+
+def _pairs_from_indices(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """pair_from_index over an array of valid indices, as (firsts, seconds).
+
+    Uses the same closed form; the float square root is only a first
+    guess that integer comparisons then correct.
+    """
+    r = pair_count(n) - np.asarray(index, dtype=np.int64)
+    m = (1 + np.sqrt(8 * r - 7).astype(np.int64)) // 2
+    while (low := m * (m - 1) // 2 < r).any():
+        m += low
+    while (high := (m - 1) * (m - 2) // 2 >= r).any():
+        m -= high
+    return n - m, n - r + (m - 1) * (m - 2) // 2
+
+
+def _cycle(start: int, count: int, period: int) -> np.ndarray:
+    # Positions start, start+1, ... of a cycle of the given period.
+    return (start % period + np.arange(count, dtype=np.int64)) % period
+
+
+class _Schedule:
+    def pair_at(self, step: int) -> AgentPair:
+        """The pair of one step: pairs(step, 1) as a tuple of ints."""
+        firsts, seconds = self.pairs(step, 1)
+        return int(firsts[0]), int(seconds[0])
+
+
+class RoundRobin(_Schedule):
     """Cycle through all canonical pairs in lexicographic order."""
 
     kind = "roundrobin"
@@ -79,19 +119,23 @@ class RoundRobin:
     def __init__(self, n: int):
         self.n = n
 
-    def pair_at(self, step: int) -> AgentPair:
-        _check_step(step)
-        total = pair_count(self.n)
-        if total == 0:
-            raise ValueError(f"scheduler needs at least two agents, got n={self.n}")
-        return pair_from_index(step % total, self.n)
+    def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
+        total = _check_span(start, count, self.n)
+        return _pairs_from_indices(_cycle(start, count, total), self.n)
 
 
-class UniformRandom:
+_SKIP_CHUNK = 1 << 16   # draws discarded at a time when skipping ahead
+
+
+class UniformRandom(_Schedule):
     """One independent uniformly random pair per step.
 
     Deterministic given the seed: the same (seed, step) always yields the
-    same pair, regardless of query order.
+    same pair, regardless of query order. Pair indices are drawn in
+    batches from one generator whose cursor follows the requests; a
+    request behind the cursor re-seeds and a request ahead of it skips
+    draws, so no drawn pair is kept.
     """
 
     kind = "random"
@@ -99,20 +143,28 @@ class UniformRandom:
     def __init__(self, n: int, seed):
         self.n = n
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self._cache: list[AgentPair] = []
+        # Fixed once, so that re-seeding replays the stream even for None.
+        self._seed_sequence = (seed if isinstance(seed, np.random.SeedSequence)
+                               else np.random.SeedSequence(seed))
+        self._rng = np.random.default_rng(self._seed_sequence)
+        self._cursor = 0
 
-    def pair_at(self, step: int) -> AgentPair:
-        _check_step(step)
-        total = pair_count(self.n)
-        if total == 0:
-            raise ValueError(f"scheduler needs at least two agents, got n={self.n}")
-        while len(self._cache) <= step:
-            self._cache.append(pair_from_index(int(self._rng.integers(total)), self.n))
-        return self._cache[step]
+    def _draw(self, total: int, count: int) -> np.ndarray:
+        self._cursor += count
+        return self._rng.integers(total, size=count)
+
+    def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
+        total = _check_span(start, count, self.n)
+        if start < self._cursor:
+            self._rng = np.random.default_rng(self._seed_sequence)
+            self._cursor = 0
+        while self._cursor < start:
+            self._draw(total, min(start - self._cursor, _SKIP_CHUNK))
+        return _pairs_from_indices(self._draw(total, count), self.n)
 
 
-class StarvationAdversary:
+class StarvationAdversary(_Schedule):
     """Round-robin that skips one pair until a release step.
 
     Before ``release_step`` the excluded pair never occurs, so the schedule
@@ -134,19 +186,18 @@ class StarvationAdversary:
         self.release_step = release_step
         self._excluded_rank = pair_index((i, j), n)
 
-    def pair_at(self, step: int) -> AgentPair:
-        _check_step(step)
-        total = pair_count(self.n)
-        if step >= self.release_step:
-            return pair_from_index((step - self.release_step) % total, self.n)
-        if total <= 1:
+    def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
+        total = _check_span(start, count, self.n)
+        starved = min(max(self.release_step - start, 0), count)
+        if starved and total <= 1:
             raise ValueError(
                 f"n={self.n} leaves no pair besides the excluded one before release"
             )
-        rank = step % (total - 1)
-        if rank >= self._excluded_rank:
-            rank += 1
-        return pair_from_index(rank, self.n)
+        before = _cycle(start, starved, max(total - 1, 1))
+        before += before >= self._excluded_rank
+        after = _cycle(start + starved - self.release_step, count - starved, total)
+        return _pairs_from_indices(np.concatenate((before, after)), self.n)
 
 
 Scheduler = RoundRobin | UniformRandom | StarvationAdversary

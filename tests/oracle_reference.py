@@ -2,15 +2,82 @@
 
 These deliberately avoid the closed forms and the engine internals: the
 layer partition is computed by draining, stability of a bra-ket multiset
-by checking all pairs directly, and the set of quiescent outcomes by
-exhaustive search over every schedule. Tests compare the fast library
-code against these.
+by checking all pairs directly, the set of quiescent outcomes by
+exhaustive search over every schedule, and a single interaction step
+through the validated public rule instead of the engine's transition
+table. Tests compare the fast library code against these.
 """
 
 from collections import Counter
 from itertools import permutations
 
-from pluralitysim.protocol import AgentState, apply_interaction, weight
+from pluralitysim.engine import Configuration, TraceEvent
+from pluralitysim.protocol import AgentState, apply_interaction, check_k, weight
+
+
+def potential_less(weights_a, weights_b) -> bool:
+    """Lexicographic order on two sorted-ascending weight vectors.
+
+    True iff weights_a comes strictly before weights_b. This is the order
+    the configuration potential follows: it must strictly drop at every
+    ket exchange.
+    """
+    a = tuple(weights_a)
+    b = tuple(weights_b)
+    if len(a) != len(b):
+        raise ValueError(f"weight vectors differ in length: {len(a)} vs {len(b)}")
+    return a < b
+
+
+def mod_range(x: int, y: int, p: int, closed: bool = True) -> set[int]:
+    """Residues reached walking the circle mod p from x to y.
+
+    Closed ranges include both endpoints: [2,7] mod 10 is {2,...,7} and
+    wrapping works, e.g. the open range (8,3) mod 10 is {9, 0, 1, 2}.
+    Degenerate cases: [x,x] is {x mod p}; the open range (x,x) walks the
+    whole circle and yields every residue except x, which follows the
+    index formula rather than intuition; (x, x+1) is empty.
+    """
+    check_k(p)
+    if x < 0 or y < 0:
+        raise ValueError(f"range endpoints must be non-negative, got ({x}, {y})")
+    distance = (y - x) % p
+    if closed:
+        return {(x + t) % p for t in range(distance + 1)}
+    if distance == 0:
+        distance = p
+    return {(x + t) % p for t in range(1, distance)}
+
+
+def quiescent_by_pairs(config):
+    """True iff no two distinct agents of the configuration would change
+    anything, checked by applying the rule to every pair of agents."""
+    states = config.states
+    return not any(
+        result.exchanged or result.out_changed
+        for i in range(len(states)) for j in range(i + 1, len(states))
+        for result in [apply_interaction(states[i], states[j], config.k)])
+
+
+def step(config, pair):
+    """Apply one interaction functionally; the population is not mutated.
+
+    Returns (configuration after, TraceEvent). When the interaction
+    changes nothing the input configuration object is returned as-is. The
+    event's step field is 0.
+    """
+    i, j = pair
+    if i == j or not (0 <= i < config.n and 0 <= j < config.n):
+        raise ValueError(f"pair {pair!r} invalid for n={config.n}")
+    a, b = config.states[i], config.states[j]
+    result = apply_interaction(a, b, config.k)
+    event = TraceEvent(0, pair, (a, b), (result.a, result.b),
+                       result.exchanged, result.out_changed)
+    if not (result.exchanged or result.out_changed):
+        return config, event
+    states = list(config.states)
+    states[i], states[j] = result.a, result.b
+    return Configuration(config.k, tuple(states)), event
 
 
 def greedy_drain(input_colors):

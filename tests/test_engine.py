@@ -2,16 +2,19 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_reference import potential_less, quiescent_by_pairs, step
 from pluralitysim.engine import (Configuration, FixedSteps,
                                  InvariantViolation, TraceEvent,
                                  UntilQuiescent, _check_full, _check_safety,
-                                 init_configuration, is_quiescent, run, step)
-from pluralitysim.oracle import potential_less, predicted_stable_multiset
-from pluralitysim.protocol import AgentState
+                                 init_configuration, is_quiescent, run)
+from pluralitysim.oracle import predicted_stable_multiset
+from pluralitysim.protocol import (AgentState, InteractionResult, _interact,
+                                   all_states, apply_interaction)
 from pluralitysim.schedulers import RoundRobin, StarvationAdversary, make_scheduler
 
 
@@ -48,6 +51,20 @@ class TestConfiguration:
             init_configuration([], 3)
         with pytest.raises(ValueError):
             init_configuration([3], 3)
+
+    def test_rejects_bool_colors(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            init_configuration([True, False], 2)
+        with pytest.raises(ValueError):
+            init_configuration([0, 1], True)
+
+    def test_accepts_numpy_integer_colors(self):
+        config = init_configuration([np.int64(0), np.int8(1)], np.int64(2))
+        assert config.k == 2 and type(config.k) is int
+        assert config.states == (AgentState(0, 0, 0), AgentState(1, 1, 1))
+        assert all(type(c) is int for s in config.states for c in s)
+        _, _, metrics = run(config, RoundRobin(2))
+        assert metrics.converged
 
 
 class TestStep:
@@ -91,6 +108,15 @@ class TestIsQuiescent:
         config = Configuration(2, (AgentState(1, 1, 0), AgentState(1, 1, 0)))
         assert not is_quiescent(config)
         assert is_quiescent(Configuration(2, (AgentState(1, 1, 0),)))
+
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.tuples(*[st.integers(0, k - 1)] * 3),
+                             min_size=1, max_size=7))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_check_of_every_agent_pair(self, case):
+        k, triples = case
+        config = Configuration(k, tuple(AgentState(*t) for t in triples))
+        assert is_quiescent(config) == quiescent_by_pairs(config)
 
     @given(instances())
     @settings(max_examples=60, deadline=None)
@@ -239,6 +265,72 @@ class TestRun:
             else:
                 assert after == before
         assert current.states == final.states
+
+
+class TestTransitionTable:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_every_state_pair_steps_like_apply_interaction(self, k):
+        states = all_states(k)
+        for a in states:
+            for b in states:
+                final, trace, _ = run(Configuration(k, (a, b)), RoundRobin(2),
+                                      FixedSteps(1), assertions="full",
+                                      trace="full")
+                (event,) = trace.events
+                expected = apply_interaction(a, b, k)
+                assert final.states == (expected.a, expected.b), (a, b)
+                assert event.post == (expected.a, expected.b), (a, b)
+                assert (event.exchanged, event.out_changed) == (
+                    expected.exchanged, expected.out_changed), (a, b)
+
+    def test_full_run_after_off_run_still_checks(self, monkeypatch):
+        monkeypatch.setattr("pluralitysim.engine._interact", _clobber_kets)
+        config = init_configuration([0, 1, 1], 2)
+        run(config, RoundRobin(3), FixedSteps(3), assertions="off")
+        for level in ("safety", "full"):
+            with pytest.raises(InvariantViolation) as info:
+                run(config, RoundRobin(3), FixedSteps(3), assertions=level)
+            assert (info.value.step, info.value.pair) == (0, (0, 1))
+
+    def test_each_transition_is_checked_once_per_rule(self, monkeypatch):
+        calls = []
+
+        def counting_check(event, k):
+            calls.append(event.step)
+
+        def rule(a, b, k):
+            return _interact(a, b, k)
+
+        monkeypatch.setattr("pluralitysim.engine._interact", rule)
+        monkeypatch.setattr("pluralitysim.engine._check_full", counting_check)
+        config = init_configuration([0, 1, 1, 2, 2, 2], 3)
+        _, _, first = run(config, RoundRobin(6), assertions="full")
+        checked = len(calls)
+        assert 0 < checked < first.total_interactions
+        run(config, RoundRobin(6), assertions="full")
+        assert len(calls) == checked
+
+    def test_violation_first_met_after_a_scan_names_its_step(self, monkeypatch):
+        def moves_a_bra_between_loops(a, b, k):
+            # wrong only when self-loops of colors 0 and 1 meet
+            result = _interact(a, b, k)
+            if (a.bra, a.ket, b.bra, b.ket) == (0, 0, 1, 1):
+                return result._replace(a=result.a._replace(bra=1))
+            return result
+
+        monkeypatch.setattr("pluralitysim.engine._interact",
+                            moves_a_bra_between_loops)
+        # the opening quiescence scan already meets the faulty pair of
+        # bra-kets; the schedule reaches it at step 1
+        with pytest.raises(InvariantViolation) as info:
+            run(init_configuration([0, 0, 1], 2), RoundRobin(3))
+        assert (info.value.step, info.value.pair) == (1, (0, 2))
+
+
+def _clobber_kets(a, b, k):
+    # overwrites both kets with a's bra
+    return InteractionResult(AgentState(a.bra, a.bra, a.out),
+                             AgentState(b.bra, a.bra, b.out), True, False)
 
 
 class TestRuntimeAssertions:

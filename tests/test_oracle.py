@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_reference import (exhaustive_quiescent_outcomes, greedy_drain,
-                              is_exchange_stable)
+                              is_exchange_stable, mod_range, potential_less)
 from pluralitysim.oracle import (braket_balanced, brute_majority,
                                  circle_braket_set, greedy_partition,
-                                 majority_by_partition, mod_range,
-                                 potential_less, predicted_stable_multiset)
+                                 majority_by_partition,
+                                 predicted_stable_multiset)
 
 
 @st.composite
