@@ -27,7 +27,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,26 +51,6 @@ SWEEP_FIELDS = ("n", "k", "trials", "seed", "converged", "mean_interactions",
 
 class UsageError(Exception):
     """Bad arguments detected after argparse; maps to exit code 2."""
-
-
-@dataclass
-class ExperimentSpec:
-    """Everything one `run` invocation needs, argparse-independent."""
-
-    colors: tuple[int, ...] | None = None   # explicit input colors
-    random_colors: str | None = None        # uniform | weights=... | planted=<m>
-    n: int | None = None
-    k: int | None = None
-    scheduler: str = "roundrobin"
-    seed: int = 0
-    cap: int | None = None                  # round-robin cycles
-    fixed_steps: int | None = None          # overrides cap when set
-    assertions: str = "safety"
-    adversary_exclude: tuple[int, int] = (0, 1)
-    adversary_release: int | None = None
-    trace_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "json-lines"
 
 
 def parse_color_list(text: str) -> list[int]:
@@ -169,22 +148,22 @@ def make_random_colors(spec_text: str, n: int, k: int | None,
     raise UsageError(f"unknown --random-colors spec {spec_text!r}")
 
 
-def resolve_inputs(spec: ExperimentSpec) -> tuple[list[int], int]:
-    """Produce the input color list and k from an ExperimentSpec."""
-    if (spec.colors is None) == (spec.random_colors is None):
+def resolve_inputs(args: argparse.Namespace) -> tuple[list[int], int]:
+    """Produce the input color list and k from the `run` arguments."""
+    if (args.colors is None) == (args.random_colors is None):
         raise UsageError("exactly one of --colors and --random-colors is needed")
-    if spec.colors is not None:
-        colors = list(spec.colors)
-        if spec.n is not None and spec.n != len(colors):
-            raise UsageError(f"--n {spec.n} but {len(colors)} colors given")
-        k = spec.k if spec.k is not None else max(colors) + 1
-        if any(not 0 <= c < k for c in colors):
-            raise UsageError(f"colors outside [0, {k - 1}]")
+    if args.k is not None and args.k < 1:
+        raise UsageError(f"--k must be positive, got {args.k}")
+    if args.colors is not None:
+        colors = load_colors(args.colors)
+        if args.n is not None and args.n != len(colors):
+            raise UsageError(f"--n {args.n} but {len(colors)} colors given")
+        k = args.k if args.k is not None else max(colors) + 1
         return colors, k
-    if spec.n is None or spec.n < 1:
+    if args.n is None or args.n < 1:
         raise UsageError("--random-colors needs --n >= 1")
-    rng = np.random.default_rng([spec.seed, 0])
-    return make_random_colors(spec.random_colors, spec.n, spec.k, rng)
+    rng = np.random.default_rng([args.seed, 0])
+    return make_random_colors(args.random_colors, args.n, args.k, rng)
 
 
 def _json_line(doc: dict) -> str:
@@ -229,35 +208,33 @@ def trace_rows(trace: RunTrace):
                "exchanged": e.exchanged, "out_changed": e.out_changed}
 
 
-def run_experiment(spec: ExperimentSpec) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     """Execute one run and write its metrics (and trace); returns exit code."""
-    colors, k = resolve_inputs(spec)
+    colors, k = resolve_inputs(args)
     n = len(colors)
+    exclude = parse_color_list(args.adversary_exclude or "0,1")
+    if len(exclude) != 2:
+        raise UsageError("--adversary-exclude needs exactly two indices")
     scheduler = make_scheduler(
-        spec.scheduler, n,
-        seed=[spec.seed, 1] if spec.scheduler == "random" else None,
-        excluded=spec.adversary_exclude,
-        release_step=spec.adversary_release)
-    if spec.fixed_steps is not None:
-        policy = FixedSteps(spec.fixed_steps)
+        args.scheduler, n,
+        seed=[args.seed, 1] if args.scheduler == "random" else None,
+        excluded=tuple(exclude),
+        release_step=args.adversary_release)
+    if args.fixed_steps is not None:
+        policy = FixedSteps(args.fixed_steps)
     else:
-        policy = UntilQuiescent(spec.cap)
+        policy = UntilQuiescent(args.cap)
     config = init_configuration(colors, k)
-    trace_mode = "changes" if spec.trace_path else "off"
-    try:
-        final, trace, metrics = run(config, scheduler, policy,
-                                    assertions=spec.assertions,
-                                    trace=trace_mode)
-    except InvariantViolation as violation:
-        print(f"invariant violation: {violation}", file=sys.stderr)
-        return EXIT_VIOLATION
+    final, trace, metrics = run(config, scheduler, policy,
+                                assertions=args.assertion_level,
+                                trace="changes" if args.trace else "off")
 
     winner, unique = brute_majority(colors)
     doc = {
         "n": n,
         "k": k,
         "scheduler": scheduler.kind,
-        "seed": spec.seed,
+        "seed": args.seed,
         "total_interactions": metrics.total_interactions,
         "ket_exchanges": metrics.ket_exchanges,
         "out_updates": metrics.out_updates,
@@ -270,10 +247,10 @@ def run_experiment(spec: ExperimentSpec) -> int:
             for c in sorted(metrics.final_outputs)
         },
     }
-    write_text(spec.out_path, render_rows([doc], METRICS_FIELDS, spec.fmt))
-    if spec.trace_path:
-        write_text(spec.trace_path,
-                   render_rows(trace_rows(trace), TRACE_FIELDS, spec.fmt))
+    write_text(args.out, render_rows([doc], METRICS_FIELDS, args.format))
+    if args.trace:
+        write_text(args.trace,
+                   render_rows(trace_rows(trace), TRACE_FIELDS, args.format))
 
     if not metrics.converged:
         print(f"no quiescence within {metrics.total_interactions} interactions",
@@ -288,29 +265,10 @@ def run_experiment(spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
-def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    colors = tuple(load_colors(args.colors)) if args.colors else None
-    exclude = (0, 1)
-    if args.adversary_exclude:
-        parts = parse_color_list(args.adversary_exclude)
-        if len(parts) != 2:
-            raise UsageError("--adversary-exclude needs exactly two indices")
-        exclude = (parts[0], parts[1])
-    return ExperimentSpec(
-        colors=colors, random_colors=args.random_colors,
-        n=args.n, k=args.k,
-        scheduler=args.scheduler, seed=args.seed,
-        cap=args.cap, fixed_steps=args.fixed_steps,
-        assertions=args.assertion_level,
-        adversary_exclude=exclude, adversary_release=args.adversary_release,
-        trace_path=args.trace, out_path=args.out, fmt=args.format)
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    return run_experiment(spec_from_args(args))
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value in (("--n-max", args.n_max), ("--k-max", args.k_max)):
+        if value < 1:
+            raise UsageError(f"{flag} must be positive, got {value}")
     if args.instances is not None:
         if args.instances < 1:
             raise UsageError("--instances must be positive")
@@ -449,6 +407,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantViolation as violation:
+        print(f"invariant violation: {violation}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

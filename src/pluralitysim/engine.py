@@ -26,8 +26,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .protocol import (AgentState, _interact, _weight, check_color, check_k,
-                       validate_state)
+from .protocol import (AgentState, _count, _interact, _weight, check_k,
+                       init_agent, validate_state)
 from .schedulers import AgentPair, Scheduler, pair_count
 
 
@@ -167,10 +167,7 @@ class InvariantViolation(AssertionError):
 def init_configuration(input_colors, k: int) -> Configuration:
     """Population of fresh agents: each input color becomes a self-loop."""
     k = check_k(k)
-    colors = [check_color(c, k) for c in input_colors]
-    if not colors:
-        raise ValueError("a population needs at least one agent")
-    return Configuration(k, tuple(AgentState(c, c, c) for c in colors))
+    return Configuration(k, tuple(init_agent(c, k) for c in input_colors))
 
 
 def _pair_weights(a: AgentState, b: AgentState, k: int) -> tuple[int, int]:
@@ -381,18 +378,17 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
 def run(config: Configuration, scheduler: Scheduler,
         policy: StopPolicy | None = None, *,
         assertions: str = "safety",
-        trace: str = "changes",
-        check_interval: int | None = None) -> RunResult:
+        trace: str = "changes") -> RunResult:
     """Drive the configuration through the schedule until the policy stops.
 
-    Quiescence is checked before the first interaction, then every
-    check_interval interactions (default: one full round of n*(n-1)/2).
-    Under UntilQuiescent the run stops at the first successful check or at
-    the cap, whichever comes first; under FixedSteps it always executes
-    exactly the requested number of interactions and the checks only feed
-    the metrics. Assertion levels: "off", "safety" (bra-ket conservation),
-    "full" (safety plus the weight-vector drop at each exchange); any
-    violation raises InvariantViolation.
+    Quiescence is checked before the first interaction, then once per
+    round of n*(n-1)/2 interactions. Under UntilQuiescent the run stops
+    at the first successful check or at the cap, whichever comes first;
+    under FixedSteps it always executes exactly the requested number of
+    interactions and the checks only feed the metrics. The scheduler must
+    be built for config.n agents. Assertion levels: "off", "safety"
+    (bra-ket conservation), "full" (safety plus the weight-vector drop at
+    each exchange); any violation raises InvariantViolation.
     """
     if assertions not in ASSERTION_LEVELS:
         raise ValueError(f"assertions must be one of {ASSERTION_LEVELS}, "
@@ -403,24 +399,19 @@ def run(config: Configuration, scheduler: Scheduler,
         policy = UntilQuiescent()
 
     n, k = config.n, check_k(config.k)
+    if scheduler.n != n:
+        raise ValueError(f"scheduler is for n={scheduler.n} agents, "
+                         f"the configuration has {n}")
     round_length = max(pair_count(n), 1)
-    if check_interval is None:
-        check_interval = round_length
-    elif check_interval < 1:
-        raise ValueError(f"check interval must be positive, got {check_interval}")
 
     if isinstance(policy, UntilQuiescent):
         cycles = policy.max_cycles
         if cycles is None:
             cycles = DEFAULT_CAP_CYCLES_FACTOR * n * n
-        if cycles < 0:
-            raise ValueError(f"cap must be non-negative, got {cycles}")
-        limit = cycles * round_length
+        limit = _count(cycles, "cap") * round_length
         stop_on_quiescence = True
     else:
-        if policy.steps < 0:
-            raise ValueError(f"step budget must be non-negative, got {policy.steps}")
-        limit = policy.steps
+        limit = _count(policy.steps, "step budget")
         stop_on_quiescence = False
     if limit > 0 and pair_count(n) == 0:
         # A single agent has no pairs; any step budget collapses to zero.
@@ -436,7 +427,7 @@ def run(config: Configuration, scheduler: Scheduler,
         # A batch never crosses the next quiescence check.
         count = min(BATCH, limit - total)
         if quiescence_step is None:
-            count = min(count, check_interval - total % check_interval)
+            count = min(count, round_length - total % round_length)
         firsts, seconds = scheduler.pairs(total, count)
         batch_exchanges, batch_out_updates = _apply(
             codes, firsts.tolist(), seconds.tolist(), total, k, table, raw,
@@ -444,7 +435,7 @@ def run(config: Configuration, scheduler: Scheduler,
         total += count
         exchanges += batch_exchanges
         out_updates += batch_out_updates
-        if (quiescence_step is None and total % check_interval == 0
+        if (quiescence_step is None and total % round_length == 0
                 and _settled(codes, k, raw)):
             quiescence_step = total
     if quiescence_step is None and _settled(codes, k, raw):

@@ -47,6 +47,15 @@ def _integer(value) -> int | None:
         return None
 
 
+def _count(value, what: str) -> int:
+    # A non-negative integer of any integer type as a plain int, by the
+    # rule colors follow; used for step indices, counts and budgets.
+    number = _integer(value)
+    if number is None or number < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return number
+
+
 def check_k(k: int) -> int:
     """Validate the number of colors; the circle needs k >= 1.
 

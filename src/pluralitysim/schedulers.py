@@ -17,12 +17,15 @@ anyway and that convergence genuinely needs fairness.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 import numpy as np
 
+from .protocol import _count
+
 AgentPair = tuple[int, int]
+
+_MAX_AGENTS = 3 * 10**9   # above this, m*(m-1) in _pairs_from_indices overflows
 
 
 def canonical_pair(first: int, second: int) -> AgentPair:
@@ -44,19 +47,10 @@ def pair_from_index(index: int, n: int) -> AgentPair:
     arithmetically so no pair list is materialized.
     """
     total = pair_count(n)
-    if not 0 <= index < total:
+    if _count(index, "pair index") >= total:
         raise ValueError(f"pair index {index} outside [0, {total - 1}]")
-    # Rank from the end: the last pair (n-2, n-1) has r = 1. The smallest m
-    # with m*(m-1)/2 >= r gives first = n - m.
-    r = total - index
-    m = (1 + math.isqrt(8 * r - 7)) // 2
-    while m * (m - 1) // 2 < r:
-        m += 1
-    while (m - 1) * (m - 2) // 2 >= r:
-        m -= 1
-    first = n - m
-    second = n - r + (m - 1) * (m - 2) // 2
-    return (first, second)
+    firsts, seconds = _pairs_from_indices(np.array([index]), n)
+    return int(firsts[0]), int(seconds[0])
 
 
 def pair_index(pair: AgentPair, n: int) -> int:
@@ -67,31 +61,29 @@ def pair_index(pair: AgentPair, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def _check_step(step: int) -> int:
-    if not isinstance(step, int) or step < 0:
-        raise ValueError(f"step index must be a non-negative integer, got {step!r}")
-    return step
-
-
-def _check_span(start: int, count: int, n: int) -> int:
-    # Validates a pairs() request; returns the number of canonical pairs.
-    _check_step(start)
-    if not isinstance(count, int) or count < 0:
-        raise ValueError(f"pair count must be a non-negative integer, got {count!r}")
+def _check_span(start: int, count: int, n: int) -> tuple[int, int, int]:
+    # Validates a pairs() request; returns start, count and the number of
+    # canonical pairs as plain ints.
+    start = _count(start, "step index")
+    count = _count(count, "pair count")
     total = pair_count(n)
     if total == 0:
         raise ValueError(f"scheduler needs at least two agents, got n={n}")
-    return total
+    return start, count, total
 
 
 def _pairs_from_indices(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """pair_from_index over an array of valid indices, as (firsts, seconds).
+    """The canonical pairs of an array of valid indices, as (firsts, seconds).
 
-    Uses the same closed form; the float square root is only a first
-    guess that integer comparisons then correct.
+    Rank from the end: the last pair (n-2, n-1) has r = 1, and the
+    smallest m with m*(m-1)/2 >= r gives first = n - m. The float square
+    root is only a first guess that integer comparisons then correct.
     """
+    if n > _MAX_AGENTS:
+        raise ValueError(f"n={n} is above {_MAX_AGENTS}, the most agents the "
+                         "int64 pair arithmetic supports")
     r = pair_count(n) - np.asarray(index, dtype=np.int64)
-    m = (1 + np.sqrt(8 * r - 7).astype(np.int64)) // 2
+    m = (1 + np.sqrt(8.0 * r - 7).astype(np.int64)) // 2
     while (low := m * (m - 1) // 2 < r).any():
         m += low
     while (high := (m - 1) * (m - 2) // 2 >= r).any():
@@ -117,11 +109,11 @@ class RoundRobin(_Schedule):
     kind = "roundrobin"
 
     def __init__(self, n: int):
-        self.n = n
+        self.n = _count(n, "n")
 
     def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
-        total = _check_span(start, count, self.n)
+        start, count, total = _check_span(start, count, self.n)
         return _pairs_from_indices(_cycle(start, count, total), self.n)
 
 
@@ -141,7 +133,7 @@ class UniformRandom(_Schedule):
     kind = "random"
 
     def __init__(self, n: int, seed):
-        self.n = n
+        self.n = _count(n, "n")
         self.seed = seed
         # Fixed once, so that re-seeding replays the stream even for None.
         self._seed_sequence = (seed if isinstance(seed, np.random.SeedSequence)
@@ -155,7 +147,7 @@ class UniformRandom(_Schedule):
 
     def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
-        total = _check_span(start, count, self.n)
+        start, count, total = _check_span(start, count, self.n)
         if start < self._cursor:
             self._rng = np.random.default_rng(self._seed_sequence)
             self._cursor = 0
@@ -176,19 +168,18 @@ class StarvationAdversary(_Schedule):
     kind = "adversary"
 
     def __init__(self, n: int, excluded: AgentPair, release_step: int):
+        n = _count(n, "n")
         i, j = canonical_pair(*excluded)
         if not 0 <= i < j < n:
             raise ValueError(f"excluded pair {excluded!r} invalid for n={n}")
-        if not isinstance(release_step, int) or release_step < 0:
-            raise ValueError(f"release step must be a non-negative integer, got {release_step!r}")
         self.n = n
         self.excluded = (i, j)
-        self.release_step = release_step
+        self.release_step = _count(release_step, "release step")
         self._excluded_rank = pair_index((i, j), n)
 
     def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
-        total = _check_span(start, count, self.n)
+        start, count, total = _check_span(start, count, self.n)
         starved = min(max(self.release_step - start, 0), count)
         if starved and total <= 1:
             raise ValueError(

@@ -11,6 +11,7 @@ import pytest
 from pluralitysim.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE,
                               EXIT_VIOLATION, METRICS_FIELDS, SWEEP_FIELDS,
                               TRACE_FIELDS, main, parse_color_list)
+from pluralitysim.protocol import AgentState, InteractionResult
 
 
 def run_cli(capsys, *args):
@@ -133,6 +134,13 @@ class TestRunCommand:
             assert code == EXIT_USAGE, case
             assert err
 
+    def test_k_must_be_positive(self, capsys):
+        for inputs in (("--random-colors", "uniform", "--n", "5"),
+                       ("--colors", "0")):
+            code, _, err = run_cli(capsys, "run", *inputs, "--k", "0")
+            assert code == EXIT_USAGE, inputs
+            assert "--k" in err
+
     def test_starved_run_exits_nonzero(self, capsys):
         code, out, err = run_cli(capsys, "run", "--colors", "0,1,1",
                                  "--scheduler", "adversary", "--cap", "10")
@@ -224,6 +232,16 @@ class TestVerifyCommand:
                              "--instances", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--n-max", "--k-max"])
+    @pytest.mark.parametrize("sampled", [(), ("--instances", "4")])
+    def test_sizes_must_be_positive(self, capsys, flag, sampled):
+        sizes = {"--n-max": "3", "--k-max": "3", flag: "0"}
+        code, out, err = run_cli(capsys, "verify", *sum(sizes.items(), ()),
+                                 *sampled)
+        assert code == EXIT_USAGE
+        assert flag in err
+        assert out == ""
+
 
 class TestSweepCommand:
     def test_deterministic_csv_grid(self, capsys):
@@ -255,6 +273,26 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--n-list", "3", "--k-list",
                              "2", "--trials", "0")
         assert code == EXIT_USAGE
+
+
+class TestInvariantViolations:
+    @pytest.mark.parametrize("args", [
+        ("run", "--colors", "0,1,1"),
+        ("sweep", "--n-list", "3", "--k-list", "2", "--trials", "1"),
+    ])
+    def test_exit_4_with_the_violation_on_stderr(self, capsys, monkeypatch,
+                                                 args):
+        def bump_ket(a, b, k):
+            # changes the ket multiset at every step
+            return InteractionResult(AgentState(a.bra, (a.ket + 1) % k, a.out),
+                                     b, True, False)
+
+        monkeypatch.setattr("pluralitysim.engine._interact", bump_ket)
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_VIOLATION
+        assert err.startswith("invariant violation: interaction changed "
+                              "the ket multiset (step 0")
+        assert out == ""
 
 
 class TestProcessLevel:

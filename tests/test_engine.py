@@ -174,12 +174,6 @@ class TestRun:
         assert (m9.total_interactions, m9.quiescence_step) == (9, 3)
         assert m9.ket_exchanges == 1
 
-    def test_check_interval_controls_detection_granularity(self):
-        config = init_configuration([0, 1, 1], 2)
-        _, _, metrics = run(config, RoundRobin(3), check_interval=1)
-        assert metrics.quiescence_step == 2
-        assert metrics.total_interactions == 2
-
     def test_zero_cap_reports_nonconvergence_without_stepping(self):
         _, _, metrics = run(init_configuration([0, 1, 1], 2), RoundRobin(3),
                             UntilQuiescent(max_cycles=0))
@@ -210,11 +204,29 @@ class TestRun:
         with pytest.raises(ValueError):
             run(config, RoundRobin(2), trace="some")
         with pytest.raises(ValueError):
-            run(config, RoundRobin(2), check_interval=0)
-        with pytest.raises(ValueError):
             run(config, RoundRobin(2), FixedSteps(-1))
         with pytest.raises(ValueError):
             run(config, RoundRobin(2), UntilQuiescent(-1))
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_rejects_a_scheduler_for_another_population(self, n):
+        config = init_configuration([0, 1, 1, 0, 1], 2)
+        with pytest.raises(ValueError, match=f"n={n} agents"):
+            run(config, RoundRobin(n))
+
+    @pytest.mark.parametrize("policy", [
+        UntilQuiescent(1.5), UntilQuiescent(True), UntilQuiescent("2"),
+        FixedSteps(False)])
+    def test_rejects_budgets_that_are_not_integers(self, policy):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            run(init_configuration([0, 1, 1], 2), RoundRobin(3), policy)
+
+    def test_accepts_numpy_integer_budgets(self):
+        config = init_configuration([0, 1, 1], 2)
+        _, _, fixed = run(config, RoundRobin(3), FixedSteps(np.int64(2)))
+        assert fixed.total_interactions == 2
+        _, _, capped = run(config, RoundRobin(3), UntilQuiescent(np.int64(1)))
+        assert (capped.total_interactions, capped.converged) == (3, True)
 
     @given(instances(), st.sampled_from(["roundrobin", "random"]),
            st.integers(0, 2**32))

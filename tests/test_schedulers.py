@@ -21,15 +21,16 @@ def pair_list(scheduler, start, count):
 
 
 def scalar_schedule(scheduler, steps):
-    """The pair of each step, computed one step at a time with the scalar
-    pair_from_index and, for UniformRandom, one scalar draw per step."""
-    n = scheduler.n
-    total = pair_count(n)
+    """The pair of each step, computed one step at a time by rank lookup in
+    the enumerated pair list and, for UniformRandom, one scalar draw per
+    step; independent of the closed form the schedulers use."""
+    ranked = list(combinations(range(scheduler.n), 2))
+    total = len(ranked)
     if isinstance(scheduler, RoundRobin):
-        return [pair_from_index(t % total, n) for t in steps]
+        return [ranked[t % total] for t in steps]
     if isinstance(scheduler, UniformRandom):
         rng = np.random.default_rng(scheduler.seed)
-        drawn = [pair_from_index(int(rng.integers(total)), n)
+        drawn = [ranked[int(rng.integers(total))]
                  for _ in range(max(steps, default=-1) + 1)]
         return [drawn[t] for t in steps]
     pairs = []
@@ -38,9 +39,9 @@ def scalar_schedule(scheduler, steps):
             rank = (t - scheduler.release_step) % total
         else:
             rank = t % (total - 1)
-            if rank >= pair_index(scheduler.excluded, n):
+            if rank >= ranked.index(scheduler.excluded):
                 rank += 1
-        pairs.append(pair_from_index(rank, n))
+        pairs.append(ranked[rank])
     return pairs
 
 
@@ -75,11 +76,29 @@ class TestPairIndexing:
         assert 0 <= pair[0] < pair[1] < n
         assert pair_index(pair, n) == index
 
+    @pytest.mark.parametrize("n", [10**6, 10**8, 3 * 10**9])
+    def test_round_trips_at_the_edge_ranks_of_large_populations(self, n):
+        # from n = 10**8 on, 8*r exceeds 2**53 and the float first guess
+        # is inexact, so the integer corrections have to run; 3 * 10**9 is
+        # the largest n the int64 arithmetic is allowed
+        total = pair_count(n)
+        expected = {0: (0, 1), n - 2: (0, n - 1), n - 1: (1, 2),
+                    total - 1: (n - 2, n - 1)}
+        for index in (0, n - 2, n - 1, total // 2, total - 1):
+            pair = pair_from_index(index, n)
+            assert 0 <= pair[0] < pair[1] < n
+            assert pair == expected.get(index, pair)
+            assert pair_index(pair, n) == index
+
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(ValueError):
             pair_from_index(3, 3)
         with pytest.raises(ValueError):
             pair_from_index(-1, 3)
+        with pytest.raises(ValueError):
+            pair_from_index(1.5, 4)
+        with pytest.raises(ValueError):
+            pair_from_index(0, 3 * 10**9 + 1)
         with pytest.raises(ValueError):
             pair_index((1, 1), 3)
 
@@ -105,6 +124,35 @@ class TestRoundRobin:
             RoundRobin(3).pairs(-1, 1)
         with pytest.raises(ValueError):
             RoundRobin(3).pairs(0, -1)
+
+
+@pytest.mark.parametrize("make, plain", [
+    (lambda: RoundRobin(4).pairs(np.int64(2), 2),
+     lambda: RoundRobin(4).pairs(2, 2)),
+    (lambda: RoundRobin(4).pairs(2, np.int64(2)),
+     lambda: RoundRobin(4).pairs(2, 2)),
+    (lambda: UniformRandom(4, seed=0).pairs(np.int64(2), 3),
+     lambda: UniformRandom(4, seed=0).pairs(2, 3)),
+    (lambda: StarvationAdversary(4, (0, 1), np.int64(3)).pairs(0, 4),
+     lambda: StarvationAdversary(4, (0, 1), 3).pairs(0, 4)),
+    (lambda: RoundRobin(4).pairs(True, 2), None),
+    (lambda: RoundRobin(4).pairs(0, False), None),
+    (lambda: StarvationAdversary(4, (0, 1), True), None),
+    (lambda: RoundRobin(-3).pairs(0, 3), None),
+    (lambda: UniformRandom(-3, seed=0).pairs(0, 3), None),
+    (lambda: StarvationAdversary(-3, (0, 1), 0), None),
+], ids=["numpy-start", "numpy-count", "numpy-random-start", "numpy-release",
+        "bool-start", "bool-count", "bool-release", "negative-n-roundrobin",
+        "negative-n-random", "negative-n-adversary"])
+def test_scheduler_integers_follow_the_color_rule(make, plain):
+    # numpy integers act as the plain int they hold; bool and negative
+    # values are rejected
+    if plain is None:
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            make()
+    else:
+        assert [part.tolist() for part in make()] == [
+            part.tolist() for part in plain()]
 
 
 class TestUniformRandom:
