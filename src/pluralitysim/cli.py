@@ -53,6 +53,16 @@ class UsageError(Exception):
     """Bad arguments detected after argparse; maps to exit code 2."""
 
 
+def _check_flag(flag: str, value: int | None, positive: bool = False):
+    """Usage error naming the flag unless value is None or in range.
+
+    Counts, caps and steps must be non-negative, sizes positive.
+    """
+    if value is not None and value < (1 if positive else 0):
+        kind = "positive" if positive else "non-negative"
+        raise UsageError(f"{flag} must be {kind}, got {value}")
+
+
 def parse_color_list(text: str) -> list[int]:
     """Colors from inline text: "0,1,1" or "0:3, 1:2" (color:count)."""
     colors: list[int] = []
@@ -152,8 +162,7 @@ def resolve_inputs(args: argparse.Namespace) -> tuple[list[int], int]:
     """Produce the input color list and k from the `run` arguments."""
     if (args.colors is None) == (args.random_colors is None):
         raise UsageError("exactly one of --colors and --random-colors is needed")
-    if args.k is not None and args.k < 1:
-        raise UsageError(f"--k must be positive, got {args.k}")
+    _check_flag("--k", args.k, positive=True)
     if args.colors is not None:
         colors = load_colors(args.colors)
         if args.n is not None and args.n != len(colors):
@@ -200,12 +209,41 @@ def write_text(path: str | None, text: str):
             handle.write(text)
 
 
-def trace_rows(trace: RunTrace):
-    for e in trace.events:
-        yield {"step": e.step, "pair": list(e.pair),
-               "pre": [list(s) for s in e.pre],
-               "post": [list(s) for s in e.post],
-               "exchanged": e.exchanged, "out_changed": e.out_changed}
+class _StateText(dict):
+    """Trace code -> JSON text of its state, encoded on first use."""
+
+    def __init__(self, trace: RunTrace):
+        super().__init__()
+        self.trace = trace
+
+    def __missing__(self, code: int) -> str:
+        text = self[code] = json.dumps(list(self.trace.state(code)),
+                                       separators=(",", ":"))
+        return text
+
+
+def render_trace(trace: RunTrace, fmt: str) -> str:
+    """Serialize a run's trace records as render_rows would their events.
+
+    Writes the same bytes as render_rows over the event rows: json-lines
+    with sorted keys, or csv with a header and JSON-encoded list cells.
+    Each distinct state is JSON-encoded once for the whole trace.
+    """
+    state = _StateText(trace)
+    flag = ("false", "true")
+    if fmt == "json-lines":
+        return "".join([
+            f'{{"exchanged":{flag[exchanged]},"out_changed":{flag[out_changed]},'
+            f'"pair":[{i},{j}],"post":[{state[new_a]},{state[new_b]}],'
+            f'"pre":[{state[a]},{state[b]}],"step":{step}}}\n'
+            for step, i, j, a, b, new_a, new_b, exchanged, out_changed
+            in trace.records])
+    # Every list cell holds a comma, so csv quotes each one.
+    return ",".join(TRACE_FIELDS) + "\n" + "".join([
+        f'{step},"[{i},{j}]","[{state[a]},{state[b]}]",'
+        f'"[{state[new_a]},{state[new_b]}]",{flag[exchanged]},{flag[out_changed]}\n'
+        for step, i, j, a, b, new_a, new_b, exchanged, out_changed
+        in trace.records])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -215,6 +253,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     exclude = parse_color_list(args.adversary_exclude or "0,1")
     if len(exclude) != 2:
         raise UsageError("--adversary-exclude needs exactly two indices")
+    _check_flag("--adversary-release", args.adversary_release)
+    _check_flag("--fixed-steps", args.fixed_steps)
+    _check_flag("--cap", args.cap)
     scheduler = make_scheduler(
         args.scheduler, n,
         seed=[args.seed, 1] if args.scheduler == "random" else None,
@@ -249,8 +290,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     write_text(args.out, render_rows([doc], METRICS_FIELDS, args.format))
     if args.trace:
-        write_text(args.trace,
-                   render_rows(trace_rows(trace), TRACE_FIELDS, args.format))
+        write_text(args.trace, render_trace(trace, args.format))
 
     if not metrics.converged:
         print(f"no quiescence within {metrics.total_interactions} interactions",
@@ -266,12 +306,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    for flag, value in (("--n-max", args.n_max), ("--k-max", args.k_max)):
-        if value < 1:
-            raise UsageError(f"{flag} must be positive, got {value}")
+    _check_flag("--n-max", args.n_max, positive=True)
+    _check_flag("--k-max", args.k_max, positive=True)
+    _check_flag("--instances", args.instances, positive=True)
+    _check_flag("--cap", args.cap)
     if args.instances is not None:
-        if args.instances < 1:
-            raise UsageError("--instances must be positive")
         rng = np.random.default_rng(args.seed)
         instances = (random_instance(rng, args.n_max, args.k_max)
                      for _ in range(args.instances))
@@ -289,8 +328,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     n_values = parse_color_list(args.n_list)
     k_values = parse_color_list(args.k_list)
-    if args.trials < 1:
-        raise UsageError("--trials must be positive")
+    _check_flag("--trials", args.trials, positive=True)
+    _check_flag("--cap", args.cap)
     if any(n < 1 for n in n_values) or any(k < 1 for k in k_values):
         raise UsageError("population sizes and color counts must be >= 1")
     rows = []

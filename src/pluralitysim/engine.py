@@ -26,8 +26,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .protocol import (AgentState, _count, _interact, _weight, check_k,
-                       init_agent, validate_state)
+from .protocol import (AgentState, _count, _interact, _weight, check_color,
+                       check_k, init_agent, validate_state)
 from .schedulers import AgentPair, Scheduler, pair_count
 
 
@@ -38,7 +38,8 @@ class Configuration:
     Construction validates every color against k but not the bra-ket
     balance; balance is a property of reachable populations (initial
     states are self-loops and interactions only permute kets), enforced
-    during runs, not a precondition of the type.
+    during runs, not a precondition of the type. Agents that share one
+    state object are validated once, in order of first appearance.
     """
 
     k: int
@@ -48,7 +49,7 @@ class Configuration:
         check_k(self.k)
         if not self.states:
             raise ValueError("a population needs at least one agent")
-        for state in self.states:
+        for state in {id(state): state for state in self.states}.values():
             validate_state(state, self.k)
 
     @property
@@ -89,10 +90,26 @@ class RunTrace:
 
     mode "changes" (the default) keeps only steps that exchanged kets or
     updated an out field; "full" keeps every step; "off" keeps nothing.
+
+    Each kept step is one record of ints, (step, i, j, a, b, new_a, new_b,
+    exchanged, out_changed), where a and b are the codes of agents i and j
+    before the step and new_a and new_b after it. Codes are opaque keys:
+    state(code) decodes one, and events decodes the whole log.
     """
 
     mode: str
-    events: tuple[TraceEvent, ...] = ()
+    records: tuple[tuple[int, ...], ...] = ()
+    k: int = 1
+
+    def state(self, code: int) -> AgentState:
+        """The agent state a record's code stands for."""
+        return _state(code, self.k)
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """The records as TraceEvents, decoded on each access."""
+        decoded: dict[int, AgentState] = {}
+        return tuple(_event(*record, self.k, decoded) for record in self.records)
 
 
 @dataclass(frozen=True)
@@ -165,9 +182,20 @@ class InvariantViolation(AssertionError):
 
 
 def init_configuration(input_colors, k: int) -> Configuration:
-    """Population of fresh agents: each input color becomes a self-loop."""
+    """Population of fresh agents: each input color becomes a self-loop.
+
+    Agents of one color share one state object.
+    """
     k = check_k(k)
-    return Configuration(k, tuple(init_agent(c, k) for c in input_colors))
+    fresh: dict[int, AgentState] = {}
+    states = []
+    for value in input_colors:
+        color = check_color(value, k)
+        state = fresh.get(color)
+        if state is None:
+            state = fresh[color] = init_agent(color, k)
+        states.append(state)
+    return Configuration(k, tuple(states))
 
 
 def _pair_weights(a: AgentState, b: AgentState, k: int) -> tuple[int, int]:
@@ -264,30 +292,35 @@ def _encode(state: AgentState, k: int) -> int:
     return int((state.bra * k + state.ket) * k + state.out)
 
 
+def _state(code: int, k: int) -> AgentState:
+    bra_ket, out = divmod(code, k)
+    return AgentState(bra_ket // k, bra_ket % k, out)
+
+
 def _decode(code: int, k: int, decoded: dict[int, AgentState]) -> AgentState:
-    # One shared AgentState per code for a whole run.
+    # One shared AgentState per code for a whole run or trace.
     state = decoded.get(code)
     if state is None:
-        bra_ket, out = divmod(code, k)
-        state = decoded[code] = AgentState(bra_ket // k, bra_ket % k, out)
+        state = decoded[code] = _state(code, k)
     return state
 
 
-def _event(step: int, pair: AgentPair, a: int, b: int, new_a: int, new_b: int,
+def _event(step: int, i: int, j: int, a: int, b: int, new_a: int, new_b: int,
            exchanged: bool, out_changed: bool, k: int,
            decoded: dict[int, AgentState]) -> TraceEvent:
-    return TraceEvent(step, pair, (_decode(a, k, decoded), _decode(b, k, decoded)),
+    # Takes a trace record's fields in record order.
+    return TraceEvent(step, (i, j), (_decode(a, k, decoded), _decode(b, k, decoded)),
                       (_decode(new_a, k, decoded), _decode(new_b, k, decoded)),
                       exchanged, out_changed)
 
 
-def _first_use(key: int, a: int, b: int, step: int, pair: AgentPair, k: int,
+def _first_use(key: int, a: int, b: int, step: int, i: int, j: int, k: int,
                raw: dict, assertions: str, decoded: dict[int, AgentState]):
     """The transition for a key the run's table lacks, checked at this step."""
     entry = _raw_entry(key, k, raw)
     if assertions != "off":
         new_a, new_b, out_changed = _post(entry, a, b, k)
-        event = _event(step, pair, a, b, new_a, new_b, entry[2], out_changed,
+        event = _event(step, i, j, a, b, new_a, new_b, entry[2], out_changed,
                        k, decoded)
         _check_safety(event)
         if assertions == "full":
@@ -333,10 +366,11 @@ def is_quiescent(config: Configuration) -> bool:
 
 def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
            k: int, table: dict, raw: dict, assertions: str, trace: str,
-           events: list[TraceEvent], decoded: dict[int, AgentState]):
+           records: list[tuple[int, ...]], decoded: dict[int, AgentState]):
     """Apply one batch of scheduled interactions to the codes in place.
 
-    Returns (ket exchanges, out updates) of the batch.
+    Appends a trace record per kept step to records. Returns (ket
+    exchanges, out updates) of the batch.
     """
     exchanges = out_updates = 0
     kk = k * k
@@ -349,7 +383,7 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
         try:
             entry = table[key]
         except KeyError:
-            entry = table[key] = _first_use(key, a, b, step, (i, j), k, raw,
+            entry = table[key] = _first_use(key, a, b, step, i, j, k, raw,
                                             assertions, decoded)
         # _post, inlined: this loop runs once per interaction
         new_a, new_b, exchanged, loop = entry
@@ -367,11 +401,10 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
             exchanges += exchanged
             out_updates += out_changed
             if record_changes:
-                events.append(_event(step, (i, j), a, b, new_a, new_b,
-                                     exchanged, out_changed, k, decoded))
+                records.append((step, i, j, a, b, new_a, new_b, exchanged,
+                                out_changed))
         elif record_nulls:
-            events.append(_event(step, (i, j), a, b, a, b, False, False,
-                                 k, decoded))
+            records.append((step, i, j, a, b, a, b, False, False))
     return exchanges, out_updates
 
 
@@ -420,7 +453,7 @@ def run(config: Configuration, scheduler: Scheduler,
     table, raw = _table(k, assertions), _table(k, "off")
     codes = [_encode(s, k) for s in config.states]
     decoded: dict[int, AgentState] = {}
-    events: list[TraceEvent] = []
+    records: list[tuple[int, ...]] = []
     total = exchanges = out_updates = 0
     quiescence_step = 0 if _settled(codes, k, raw) else None
     while total < limit and not (stop_on_quiescence and quiescence_step is not None):
@@ -431,7 +464,7 @@ def run(config: Configuration, scheduler: Scheduler,
         firsts, seconds = scheduler.pairs(total, count)
         batch_exchanges, batch_out_updates = _apply(
             codes, firsts.tolist(), seconds.tolist(), total, k, table, raw,
-            assertions, trace, events, decoded)
+            assertions, trace, records, decoded)
         total += count
         exchanges += batch_exchanges
         out_updates += batch_out_updates
@@ -451,4 +484,4 @@ def run(config: Configuration, scheduler: Scheduler,
         converged=quiescence_step is not None,
         final_outputs=final.output_counts(),
     )
-    return RunResult(final, RunTrace(trace, tuple(events)), metrics)
+    return RunResult(final, RunTrace(trace, tuple(records), k), metrics)

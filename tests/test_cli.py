@@ -11,7 +11,9 @@ import pytest
 from pluralitysim.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE,
                               EXIT_VIOLATION, METRICS_FIELDS, SWEEP_FIELDS,
                               TRACE_FIELDS, main, parse_color_list)
+from pluralitysim.engine import init_configuration, run
 from pluralitysim.protocol import AgentState, InteractionResult
+from pluralitysim.schedulers import RoundRobin
 
 
 def run_cli(capsys, *args):
@@ -181,6 +183,46 @@ class TestRunCommand:
             "exchanged": True, "out_changed": False,
         }
 
+    @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+    def test_trace_bytes_match_the_serialized_events(self, capsys, tmp_path,
+                                                     fmt):
+        # Two-digit agents and colors, ket exchanges and broadcasts.
+        colors = [0, 11, 3, 11, 7, 10, 2, 11, 5, 9, 11, 1, 4, 6]
+        trace_path = tmp_path / "trace.txt"
+        code, _, _ = run_cli(capsys, "run", "--colors", ",".join(map(str, colors)),
+                             "--k", "12", "--trace", str(trace_path),
+                             "--format", fmt)
+        assert code == EXIT_OK
+        _, trace, metrics = run(init_configuration(colors, 12),
+                                RoundRobin(len(colors)))
+        assert metrics.ket_exchanges and metrics.out_updates
+        rows = [{"step": e.step, "pair": list(e.pair),
+                 "pre": [list(s) for s in e.pre],
+                 "post": [list(s) for s in e.post],
+                 "exchanged": e.exchanged, "out_changed": e.out_changed}
+                for e in trace.events]
+        assert any(max(row["pair"]) >= 10 for row in rows)
+        assert any(max(row["pre"][0]) >= 10 for row in rows)
+        if fmt == "json-lines":
+            expected = "".join(json.dumps(row, sort_keys=True,
+                                          separators=(",", ":")) + "\n"
+                               for row in rows)
+        else:
+            def cell(value):
+                if isinstance(value, bool):
+                    return "true" if value else "false"
+                if isinstance(value, list):
+                    return json.dumps(value, separators=(",", ":"))
+                return value
+
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(TRACE_FIELDS)
+            for row in rows:
+                writer.writerow([cell(row[f]) for f in TRACE_FIELDS])
+            expected = buffer.getvalue()
+        assert trace_path.read_bytes() == expected.encode("utf-8")
+
     def test_out_file_replaces_stdout(self, capsys, tmp_path):
         out_path = tmp_path / "metrics.json"
         code, out, _ = run_cli(capsys, "run", "--colors", "0,1,1",
@@ -273,6 +315,24 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--n-list", "3", "--k-list",
                              "2", "--trials", "0")
         assert code == EXIT_USAGE
+
+
+class TestBudgetFlags:
+    @pytest.mark.parametrize("args, flag", [
+        (("run", "--colors", "0,1,1", "--cap", "-1"), "--cap"),
+        (("sweep", "--n-list", "3", "--k-list", "2", "--cap", "-1"), "--cap"),
+        (("verify", "--n-max", "3", "--k-max", "2", "--cap", "-1"), "--cap"),
+        (("run", "--colors", "0,1,1", "--fixed-steps", "-2"), "--fixed-steps"),
+        (("run", "--colors", "0,1,1", "--scheduler", "adversary",
+          "--adversary-release", "-1"), "--adversary-release"),
+    ], ids=["run-cap", "sweep-cap", "verify-cap", "run-fixed-steps",
+            "run-adversary-release"])
+    def test_negative_budgets_are_usage_errors_naming_the_flag(
+            self, capsys, args, flag):
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_USAGE
+        assert err == f"error: {flag} must be non-negative, got {args[-1]}\n"
+        assert out == ""
 
 
 class TestInvariantViolations:

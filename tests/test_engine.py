@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_reference import potential_less, quiescent_by_pairs, step
+from pluralitysim import engine, protocol
 from pluralitysim.engine import (Configuration, FixedSteps,
                                  InvariantViolation, TraceEvent,
                                  UntilQuiescent, _check_full, _check_safety,
@@ -65,6 +66,36 @@ class TestConfiguration:
         assert all(type(c) is int for s in config.states for c in s)
         _, _, metrics = run(config, RoundRobin(2))
         assert metrics.converged
+
+    def test_errors_name_the_first_invalid_agent(self):
+        bad = AgentState(0, 5, 0)
+        cases = [
+            ((AgentState(0, 0, 0), bad, AgentState(0, 7, 0), bad),
+             r"color 5 outside \[0, 1\]"),
+            ((AgentState(1, 1, 1), AgentState(0, [1], 0), bad),
+             r"color \[1\] is not an integer"),
+            ((AgentState(1, 1, 1), AgentState(1.0, 1, 1)),
+             "color 1.0 is not an integer"),
+        ]
+        for states, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Configuration(2, states)
+
+    def test_each_agent_is_validated_less_than_twice(self, monkeypatch):
+        calls = []
+        real = protocol.check_color
+
+        def counted(value, k):
+            calls.append(value)
+            return real(value, k)
+
+        for module in (protocol, engine):
+            if hasattr(module, "check_color"):
+                monkeypatch.setattr(module, "check_color", counted)
+        n = 1000
+        colors = np.random.default_rng(5).integers(0, 4, size=n).tolist()
+        run(init_configuration(colors, 4), RoundRobin(n), FixedSteps(5000))
+        assert 0 < len(calls) < 2 * n
 
 
 class TestStep:
@@ -149,6 +180,18 @@ class TestRun:
         assert [len(t.events) for t in (full, changes, off)] == [3, 2, 0]
         assert [e for e in full.events
                 if e.exchanged or e.out_changed] == list(changes.events)
+
+    def test_trace_records_decode_to_the_events(self):
+        _, trace, _ = run(init_configuration([0, 2, 1, 2, 1], 3), RoundRobin(5),
+                          trace="full")
+        assert len(trace.records) == len(trace.events) > 0
+        for record, event in zip(trace.records, trace.events):
+            step, i, j, a, b, new_a, new_b, exchanged, out_changed = record
+            assert event == TraceEvent(
+                step, (i, j), (trace.state(a), trace.state(b)),
+                (trace.state(new_a), trace.state(new_b)), exchanged,
+                out_changed)
+            assert all(type(field) in (int, bool) for field in record)
 
     def test_single_agent_is_immediately_quiescent(self):
         final, _, metrics = run(init_configuration([0], 1), RoundRobin(1))
