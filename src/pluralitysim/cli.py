@@ -81,6 +81,21 @@ def parse_color_list(text: str) -> list[int]:
     return colors
 
 
+def parse_size_list(flag: str, text: str) -> list[int]:
+    """Positive integers from "10,20" or "10 20"; errors name the flag."""
+    sizes = []
+    for token in text.replace(",", " ").split():
+        try:
+            size = int(token)
+        except ValueError:
+            raise UsageError(f"cannot parse {flag} value {token!r}") from None
+        _check_flag(flag, size, positive=True)
+        sizes.append(size)
+    if not sizes:
+        raise UsageError(f"{flag} is empty")
+    return sizes
+
+
 def load_colors(value: str) -> list[int]:
     """Colors from a file path if one exists, else inline text.
 
@@ -248,6 +263,12 @@ def render_trace(trace: RunTrace, fmt: str) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Execute one run and write its metrics (and trace); returns exit code."""
+    _check_flag("--seed", args.seed)
+    if args.scheduler != "adversary":
+        for flag, value in (("--adversary-exclude", args.adversary_exclude),
+                            ("--adversary-release", args.adversary_release)):
+            if value is not None:
+                raise UsageError(f"{flag} needs --scheduler adversary")
     colors, k = resolve_inputs(args)
     n = len(colors)
     exclude = parse_color_list(args.adversary_exclude or "0,1")
@@ -310,6 +331,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_flag("--k-max", args.k_max, positive=True)
     _check_flag("--instances", args.instances, positive=True)
     _check_flag("--cap", args.cap)
+    _check_flag("--seed", args.seed)
     if args.instances is not None:
         rng = np.random.default_rng(args.seed)
         instances = (random_instance(rng, args.n_max, args.k_max)
@@ -326,12 +348,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    n_values = parse_color_list(args.n_list)
-    k_values = parse_color_list(args.k_list)
+    n_values = parse_size_list("--n-list", args.n_list)
+    k_values = parse_size_list("--k-list", args.k_list)
     _check_flag("--trials", args.trials, positive=True)
     _check_flag("--cap", args.cap)
-    if any(n < 1 for n in n_values) or any(k < 1 for k in k_values):
-        raise UsageError("population sizes and color counts must be >= 1")
+    _check_flag("--seed", args.seed)
     rows = []
     all_converged = True
     for n in n_values:

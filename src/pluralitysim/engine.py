@@ -7,17 +7,18 @@ s = (bra*k + ket)*k + out, and each interaction is a lookup in a
 transition table keyed on the two agents' bra-ket pairs (at most k**4
 entries). An entry holds the two new bra-kets, whether the kets were
 exchanged and the color a post-swap self-loop broadcasts (or -1), so the
-out fields follow in a few integer operations. The table is filled from
-the interaction rule the first time a pair of bra-kets meets and is kept
-per process for each k, assertion level and rule.
+out fields follow in a few integer operations. There is one table per
+process for each k and interaction rule.
 
-run() can assert two runtime invariants: the global bra-ket balance
-(safety level) and the strict lexicographic drop of the sorted weight
-vector at every ket exchange (full level). Both are checked on each
-transition when a run first uses it, with the step and pair of that use,
-so a violation names the exact step. A transition depends on nothing but
-the two bra-kets, so that one check covers every later step that repeats
-it, and a run with checks armed costs no more per step than one without.
+Two runtime invariants hold for every transition of the rule: the global
+bra-ket balance (safety) and the strict lexicographic drop of the sorted
+weight vector at every ket exchange (full). A transition depends on
+nothing but the two bra-kets, so each one is checked once, when a run
+first uses it, and enters the table only if it passes both checks. The
+run's assertion level ("off", "safety" or "full") decides only which
+failures raise InvariantViolation, with the step and pair of that use; a
+failing transition is never kept, so every later run checks it again at
+its own step. Runs at every level therefore cost the same per step.
 """
 
 from __future__ import annotations
@@ -109,7 +110,11 @@ class RunTrace:
     def events(self) -> tuple[TraceEvent, ...]:
         """The records as TraceEvents, decoded on each access."""
         decoded: dict[int, AgentState] = {}
-        return tuple(_event(*record, self.k, decoded) for record in self.records)
+        state = lambda code: _decode(code, self.k, decoded)
+        return tuple(TraceEvent(step, (i, j), (state(a), state(b)),
+                                (state(new_a), state(new_b)), exchanged, out_changed)
+                     for step, i, j, a, b, new_a, new_b, exchanged, out_changed
+                     in self.records)
 
 
 @dataclass(frozen=True)
@@ -198,62 +203,59 @@ def init_configuration(input_colors, k: int) -> Configuration:
     return Configuration(k, tuple(states))
 
 
-def _pair_weights(a: AgentState, b: AgentState, k: int) -> tuple[int, int]:
-    return _weight(a.bra, a.ket, k), _weight(b.bra, b.ket, k)
-
-
-def _check_safety(event: TraceEvent):
+# Both checks read a transition through bra-ket indices bra*k + ket: g
+# and h of agents a and b before it, g1 and h1 after it. Neither reads
+# an out field.
+def _check_safety(key: int, entry: tuple[int, int, bool, int],
+                  k: int) -> str | None:
+    """Why the transition breaks the bra-ket balance, or None if it keeps it."""
     # Bras never move and kets are only swapped between the two agents, so
     # the global per-color bra/ket balance is conserved step by step.
-    (a0, b0), (a1, b1) = event.pre, event.post
-    if a1.bra != a0.bra or b1.bra != b0.bra:
-        raise InvariantViolation("interaction moved a bra", event.step,
-                                 event.pair, event.pre, event.post)
-    if sorted((a1.ket, b1.ket)) != sorted((a0.ket, b0.ket)):
-        raise InvariantViolation("interaction changed the ket multiset",
-                                 event.step, event.pair, event.pre, event.post)
-    if not event.exchanged and (a1.ket != a0.ket or b1.ket != b0.ket):
-        raise InvariantViolation("kets moved without an exchange flag",
-                                 event.step, event.pair, event.pre, event.post)
+    g, h = divmod(key, k * k)
+    g1, h1 = entry[0] // k, entry[1] // k
+    if g1 // k != g // k or h1 // k != h // k:
+        return "interaction moved a bra"
+    kets, kets1 = (g % k, h % k), (g1 % k, h1 % k)
+    if kets1 != kets:
+        if kets1 != kets[::-1]:
+            return "interaction changed the ket multiset"
+        if not entry[2]:
+            return "kets moved without an exchange flag"
+    return None
 
 
-def _check_full(event: TraceEvent, k: int):
+def _check_full(key: int, entry: tuple[int, int, bool, int],
+                k: int) -> str | None:
+    """Why the transition breaks the weight-vector drop, or None if it keeps it."""
     # Only the two participants' weights can change, so the sorted weight
     # vector of the whole population drops lexicographically iff the
-    # smallest value in the multiset difference of {old pair weights} and
-    # {new pair weights} sits on the new side.
-    (a0, b0), (a1, b1) = event.pre, event.post
-    old = Counter(_pair_weights(a0, b0, k))
-    new = Counter(_pair_weights(a1, b1, k))
-    gone = old - new
-    came = new - old
-    if event.exchanged:
-        if not gone:
-            raise InvariantViolation("ket exchange left all weights unchanged",
-                                     event.step, event.pair, event.pre, event.post)
-        if min(came) >= min(gone):
-            raise InvariantViolation("ket exchange did not lower the weight vector",
-                                     event.step, event.pair, event.pre, event.post)
-    elif gone or came:
-        raise InvariantViolation("weights changed without a ket exchange",
-                                 event.step, event.pair, event.pre, event.post)
+    # pair's sorted weights do.
+    g, h = divmod(key, k * k)
+    g1, h1 = entry[0] // k, entry[1] // k
+    old = sorted((_weight(g // k, g % k, k), _weight(h // k, h % k, k)))
+    new = old if (g1, h1) == (g, h) else sorted(
+        (_weight(g1 // k, g1 % k, k), _weight(h1 // k, h1 % k, k)))
+    if entry[2]:
+        if new == old:
+            return "ket exchange left all weights unchanged"
+        if new > old:
+            return "ket exchange did not lower the weight vector"
+    elif new != old:
+        return "weights changed without a ket exchange"
+    return None
 
 
 BATCH = 4096  # most scheduler pairs fetched and applied at a time
 
-# (k, assertion level, rule) -> {bra-ket pair key: transition}. The rule is
-# part of the key so that a replaced rule never reuses another's entries.
+# (k, rule) -> {bra-ket pair key: transition that passed both checks}.
+# The rule is part of the key so that a replaced rule never reuses
+# another's entries.
 _TABLES: dict[tuple, dict[int, tuple[int, int, bool, int]]] = {}
 
 
-def _table(k: int, assertions: str) -> dict[int, tuple[int, int, bool, int]]:
-    """The transition table a run at this k and level uses, for the current rule.
-
-    The "off" table is the raw one: its entries come straight from the
-    rule. A run at "safety" or "full" copies a raw entry into its own
-    table only once the entry has passed that level's checks.
-    """
-    return _TABLES.setdefault((k, assertions, _interact), {})
+def _table(k: int) -> dict[int, tuple[int, int, bool, int]]:
+    """The checked transition table of this k, for the current rule."""
+    return _TABLES.setdefault((k, _interact), {})
 
 
 def _transition(key: int, k: int) -> tuple[int, int, bool, int]:
@@ -270,13 +272,6 @@ def _transition(key: int, k: int) -> tuple[int, int, bool, int]:
     a, b = result.a, result.b
     return ((a.bra * k + a.ket) * k, (b.bra * k + b.ket) * k,
             result.exchanged, a.out if result.out_changed else -1)
-
-
-def _raw_entry(key: int, k: int, raw: dict) -> tuple[int, int, bool, int]:
-    entry = raw.get(key)
-    if entry is None:
-        entry = raw[key] = _transition(key, k)
-    return entry
 
 
 def _post(entry: tuple[int, int, bool, int], a: int, b: int,
@@ -305,37 +300,38 @@ def _decode(code: int, k: int, decoded: dict[int, AgentState]) -> AgentState:
     return state
 
 
-def _event(step: int, i: int, j: int, a: int, b: int, new_a: int, new_b: int,
-           exchanged: bool, out_changed: bool, k: int,
-           decoded: dict[int, AgentState]) -> TraceEvent:
-    # Takes a trace record's fields in record order.
-    return TraceEvent(step, (i, j), (_decode(a, k, decoded), _decode(b, k, decoded)),
-                      (_decode(new_a, k, decoded), _decode(new_b, k, decoded)),
-                      exchanged, out_changed)
-
-
 def _first_use(key: int, a: int, b: int, step: int, i: int, j: int, k: int,
-               raw: dict, assertions: str, decoded: dict[int, AgentState]):
-    """The transition for a key the run's table lacks, checked at this step."""
-    entry = _raw_entry(key, k, raw)
-    if assertions != "off":
-        new_a, new_b, out_changed = _post(entry, a, b, k)
-        event = _event(step, i, j, a, b, new_a, new_b, entry[2], out_changed,
-                       k, decoded)
-        _check_safety(event)
-        if assertions == "full":
-            _check_full(event, k)
+               table: dict, assertions: str) -> tuple[int, int, bool, int]:
+    """The transition for a key the table lacks, checked at this step.
+
+    It enters the table only if it passes both checks. A failed check
+    raises if the run's assertion level includes it; otherwise the entry
+    serves this step without being kept.
+    """
+    entry = _transition(key, k)
+    reason = _check_safety(key, entry, k)
+    raises = assertions != "off"
+    if reason is None:
+        reason = _check_full(key, entry, k)
+        raises = assertions == "full"
+    if reason is None:
+        table[key] = entry
+    elif raises:
+        new_a, new_b, _ = _post(entry, a, b, k)
+        raise InvariantViolation(reason, step, (i, j), (_state(a, k), _state(b, k)),
+                                 (_state(new_a, k), _state(new_b, k)))
     return entry
 
 
-def _settled(codes, k: int, raw: dict) -> bool:
+def _settled(codes, k: int, table: dict) -> bool:
     """True iff no two agents of the coded population would change anything.
 
     Scans the bra-ket pairs present rather than agents: an exchange
     depends on the bra-kets alone, and a broadcast of color c changes
     nothing only if every agent on both bra-kets already outputs c. A
-    bra-ket meets itself only when at least two agents hold it. Reads
-    raw entries: only steps are checked.
+    bra-ket meets itself only when at least two agents hold it. A
+    transition the table lacks is computed here and not kept: only a
+    run's steps check transitions.
     """
     sizes: Counter = Counter()
     only_out: dict[int, int] = {}   # bra-ket -> its one out color, else -2
@@ -347,7 +343,8 @@ def _settled(codes, k: int, raw: dict) -> bool:
     kk = k * k
     for idx, g in enumerate(present):
         for h in present[idx if sizes[g] > 1 else idx + 1:]:
-            _, _, exchanged, loop = _raw_entry(g * kk + h, k, raw)
+            key = g * kk + h
+            _, _, exchanged, loop = table.get(key) or _transition(key, k)
             if exchanged or (loop >= 0 and not only_out[g] == only_out[h] == loop):
                 return False
     return True
@@ -361,12 +358,12 @@ def is_quiescent(config: Configuration) -> bool:
     agent is quiescent by definition.
     """
     k = check_k(config.k)
-    return _settled([_encode(s, k) for s in config.states], k, _table(k, "off"))
+    return _settled([_encode(s, k) for s in config.states], k, _table(k))
 
 
 def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
-           k: int, table: dict, raw: dict, assertions: str, trace: str,
-           records: list[tuple[int, ...]], decoded: dict[int, AgentState]):
+           k: int, table: dict, assertions: str, trace: str,
+           records: list[tuple[int, ...]]):
     """Apply one batch of scheduled interactions to the codes in place.
 
     Appends a trace record per kept step to records. Returns (ket
@@ -383,8 +380,7 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
         try:
             entry = table[key]
         except KeyError:
-            entry = table[key] = _first_use(key, a, b, step, i, j, k, raw,
-                                            assertions, decoded)
+            entry = _first_use(key, a, b, step, i, j, k, table, assertions)
         # _post, inlined: this loop runs once per interaction
         new_a, new_b, exchanged, loop = entry
         if loop < 0:
@@ -450,12 +446,11 @@ def run(config: Configuration, scheduler: Scheduler,
         # A single agent has no pairs; any step budget collapses to zero.
         limit = 0
 
-    table, raw = _table(k, assertions), _table(k, "off")
+    table = _table(k)
     codes = [_encode(s, k) for s in config.states]
-    decoded: dict[int, AgentState] = {}
     records: list[tuple[int, ...]] = []
     total = exchanges = out_updates = 0
-    quiescence_step = 0 if _settled(codes, k, raw) else None
+    quiescence_step = 0 if _settled(codes, k, table) else None
     while total < limit and not (stop_on_quiescence and quiescence_step is not None):
         # A batch never crosses the next quiescence check.
         count = min(BATCH, limit - total)
@@ -463,18 +458,19 @@ def run(config: Configuration, scheduler: Scheduler,
             count = min(count, round_length - total % round_length)
         firsts, seconds = scheduler.pairs(total, count)
         batch_exchanges, batch_out_updates = _apply(
-            codes, firsts.tolist(), seconds.tolist(), total, k, table, raw,
-            assertions, trace, records, decoded)
+            codes, firsts.tolist(), seconds.tolist(), total, k, table,
+            assertions, trace, records)
         total += count
         exchanges += batch_exchanges
         out_updates += batch_out_updates
         if (quiescence_step is None and total % round_length == 0
-                and _settled(codes, k, raw)):
+                and _settled(codes, k, table)):
             quiescence_step = total
-    if quiescence_step is None and _settled(codes, k, raw):
+    if quiescence_step is None and _settled(codes, k, table):
         # The budget ran out between checks; record the late detection.
         quiescence_step = total
 
+    decoded: dict[int, AgentState] = {}
     final = Configuration(k, tuple(_decode(c, k, decoded) for c in codes))
     metrics = RunMetrics(
         total_interactions=total,

@@ -3,9 +3,11 @@
 These deliberately avoid the closed forms and the engine internals: the
 layer partition is computed by draining, stability of a bra-ket multiset
 by checking all pairs directly, the set of quiescent outcomes by
-exhaustive search over every schedule, and a single interaction step
+exhaustive search over every schedule, a single interaction step
 through the validated public rule instead of the engine's transition
-table. Tests compare the fast library code against these.
+table, and the runtime invariants on decoded states with multiset
+arithmetic instead of on table entries. Tests compare the fast library
+code against these.
 """
 
 from collections import Counter
@@ -78,6 +80,40 @@ def step(config, pair):
     states = list(config.states)
     states[i], states[j] = result.a, result.b
     return Configuration(config.k, tuple(states)), event
+
+
+def safety_violation(event):
+    """Why a TraceEvent breaks the bra-ket balance, or None if it keeps it."""
+    (a0, b0), (a1, b1) = event.pre, event.post
+    if a1.bra != a0.bra or b1.bra != b0.bra:
+        return "interaction moved a bra"
+    if sorted((a1.ket, b1.ket)) != sorted((a0.ket, b0.ket)):
+        return "interaction changed the ket multiset"
+    if not event.exchanged and (a1.ket != a0.ket or b1.ket != b0.ket):
+        return "kets moved without an exchange flag"
+    return None
+
+
+def full_violation(event, k):
+    """Why a TraceEvent breaks the weight-vector drop, or None if it keeps it.
+
+    The sorted weight vector of the whole population drops
+    lexicographically iff the smallest value in the multiset difference of
+    the old and new pair weights sits on the new side.
+    """
+    (a0, b0), (a1, b1) = event.pre, event.post
+    old = Counter((weight(a0.bra, a0.ket, k), weight(b0.bra, b0.ket, k)))
+    new = Counter((weight(a1.bra, a1.ket, k), weight(b1.bra, b1.ket, k)))
+    gone = old - new
+    came = new - old
+    if event.exchanged:
+        if not gone:
+            return "ket exchange left all weights unchanged"
+        if min(came) >= min(gone):
+            return "ket exchange did not lower the weight vector"
+    elif gone or came:
+        return "weights changed without a ket exchange"
+    return None
 
 
 def greedy_drain(input_colors):

@@ -159,6 +159,16 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert metrics_of(out)["converged"] is True
 
+    @pytest.mark.parametrize("scheduler", ["roundrobin", "random"])
+    @pytest.mark.parametrize("flag, value", [("--adversary-exclude", "1,2"),
+                                             ("--adversary-release", "5")])
+    def test_adversary_flags_need_the_adversary(self, capsys, scheduler, flag,
+                                                value):
+        code, out, err = run_cli(capsys, "run", "--colors", "0,1,1",
+                                 "--scheduler", scheduler, flag, value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {flag} needs --scheduler adversary\n"
+
     def test_fixed_steps_policy(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--colors", "0,1,1",
                                "--fixed-steps", "9")
@@ -316,6 +326,22 @@ class TestSweepCommand:
                              "2", "--trials", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-list", "10:2", "cannot parse --n-list value '10:2'"),
+        ("--n-list", "-5", "--n-list must be positive, got -5"),
+        ("--n-list", "3,0", "--n-list must be positive, got 0"),
+        ("--k-list", "2:3", "cannot parse --k-list value '2:3'"),
+        ("--k-list", "-1", "--k-list must be positive, got -1"),
+        ("--k-list", ",", "--k-list is empty"),
+    ], ids=["n-count-token", "n-negative", "n-zero", "k-count-token",
+            "k-negative", "k-empty"])
+    def test_size_lists_are_positive_integers(self, capsys, flag, value,
+                                              message):
+        sizes = {"--n-list": "3", "--k-list": "2", flag: value}
+        code, out, err = run_cli(capsys, "sweep", "--n-list", sizes["--n-list"],
+                                 "--k-list", sizes["--k-list"], "--trials", "1")
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
 
 class TestBudgetFlags:
     @pytest.mark.parametrize("args, flag", [
@@ -325,8 +351,14 @@ class TestBudgetFlags:
         (("run", "--colors", "0,1,1", "--fixed-steps", "-2"), "--fixed-steps"),
         (("run", "--colors", "0,1,1", "--scheduler", "adversary",
           "--adversary-release", "-1"), "--adversary-release"),
+        (("run", "--colors", "0,1,1", "--seed", "-1"), "--seed"),
+        (("run", "--random-colors", "uniform", "--n", "5", "--k", "3",
+          "--seed", "-1"), "--seed"),
+        (("sweep", "--n-list", "3", "--k-list", "2", "--seed", "-3"), "--seed"),
+        (("verify", "--n-max", "3", "--k-max", "2", "--seed", "-2"), "--seed"),
     ], ids=["run-cap", "sweep-cap", "verify-cap", "run-fixed-steps",
-            "run-adversary-release"])
+            "run-adversary-release", "run-seed", "run-random-colors-seed",
+            "sweep-seed", "verify-seed"])
     def test_negative_budgets_are_usage_errors_naming_the_flag(
             self, capsys, args, flag):
         code, out, err = run_cli(capsys, *args)

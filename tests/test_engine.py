@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import potential_less, quiescent_by_pairs, step
+from oracle_reference import (full_violation, potential_less,
+                              quiescent_by_pairs, safety_violation, step)
 from pluralitysim import engine, protocol
 from pluralitysim.engine import (Configuration, FixedSteps,
                                  InvariantViolation, TraceEvent,
@@ -350,8 +351,8 @@ class TestTransitionTable:
     def test_each_transition_is_checked_once_per_rule(self, monkeypatch):
         calls = []
 
-        def counting_check(event, k):
-            calls.append(event.step)
+        def counting_check(key, entry, k):
+            calls.append(key)
 
         def rule(a, b, k):
             return _interact(a, b, k)
@@ -364,6 +365,70 @@ class TestTransitionTable:
         assert 0 < checked < first.total_interactions
         run(config, RoundRobin(6), assertions="full")
         assert len(calls) == checked
+
+    def test_runs_after_a_full_run_make_no_further_checks(self, monkeypatch):
+        calls = []
+
+        def counted(check):
+            def counting_check(*args):
+                calls.append(check.__name__)
+                return check(*args)
+            return counting_check
+
+        def rule(a, b, k):
+            return _interact(a, b, k)
+
+        monkeypatch.setattr("pluralitysim.engine._interact", rule)
+        for name in ("_check_safety", "_check_full"):
+            monkeypatch.setattr(f"pluralitysim.engine.{name}",
+                                counted(getattr(engine, name)))
+        config = init_configuration([0, 1, 1, 2, 2, 2], 3)
+        run(config, RoundRobin(6), assertions="full")
+        checked = len(calls)
+        assert checked > 0
+        for level in ("off", "safety"):
+            run(config, RoundRobin(6), assertions=level)
+        assert len(calls) == checked
+
+    @pytest.mark.parametrize("levels", [("safety", "full"), ("full", "safety")],
+                             ids=["safety-first", "full-first"])
+    def test_a_transition_failing_only_the_weight_drop_raises_only_at_full(
+            self, monkeypatch, levels):
+        def claims_twin_exchanges(a, b, k):
+            # flags an exchange that moves nothing when two self-loops of
+            # one color meet: balanced, but the weight vector stays put
+            result = _interact(a, b, k)
+            if a.bra == a.ket == b.bra == b.ket:
+                return result._replace(exchanged=True)
+            return result
+
+        monkeypatch.setattr("pluralitysim.engine._interact",
+                            claims_twin_exchanges)
+        config = init_configuration([0, 1, 1, 1], 2)
+        for level in levels:
+            if level == "safety":
+                _, _, metrics = run(config, RoundRobin(4), FixedSteps(12),
+                                    assertions="safety")
+                assert metrics.total_interactions == 12
+                continue
+            # the first two self-loops of color 1 to meet are agents 2 and 3
+            with pytest.raises(InvariantViolation,
+                               match="ket exchange left all weights unchanged") as info:
+                run(config, RoundRobin(4), FixedSteps(12), assertions="full")
+            assert (info.value.step, info.value.pair) == (5, (2, 3))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_checks_agree_with_the_event_reference(self, k):
+        # every pair of bra-kets before and after, with both exchange flags
+        brakets = [AgentState(bra, ket, 0) for bra in range(k) for ket in range(k)]
+        pairs = [(a, b) for a in brakets for b in brakets]
+        for pre in pairs:
+            for post in pairs:
+                for exchanged in (False, True):
+                    transition = _transition_of(pre, post, exchanged, k)
+                    event = TraceEvent(0, (0, 1), pre, post, exchanged, False)
+                    assert _check_safety(*transition) == safety_violation(event)
+                    assert _check_full(*transition) == full_violation(event, k)
 
     def test_violation_first_met_after_a_scan_names_its_step(self, monkeypatch):
         def moves_a_bra_between_loops(a, b, k):
@@ -388,45 +453,47 @@ def _clobber_kets(a, b, k):
                              AgentState(b.bra, a.bra, b.out), True, False)
 
 
-class TestRuntimeAssertions:
-    def _event(self, pre, post, exchanged, out_changed=False):
-        return TraceEvent(0, (0, 1), pre, post, exchanged, out_changed)
+def _transition_of(pre, post, exchanged, k=2):
+    # The engine's (key, table entry, k) for the bra-kets of two states
+    # before and after an interaction; no broadcast.
+    (a, b), (a1, b1) = pre, post
+    key = ((a.bra * k + a.ket) * k + b.bra) * k + b.ket
+    entry = ((a1.bra * k + a1.ket) * k, (b1.bra * k + b1.ket) * k, exchanged, -1)
+    return key, entry, k
 
+
+class TestRuntimeAssertions:
     def test_moved_bra_is_caught(self):
-        event = self._event((AgentState(0, 1, 0), AgentState(1, 0, 1)),
-                            (AgentState(1, 1, 0), AgentState(0, 0, 1)), True)
-        with pytest.raises(InvariantViolation):
-            _check_safety(event)
+        transition = _transition_of((AgentState(0, 1, 0), AgentState(1, 0, 1)),
+                                    (AgentState(1, 1, 0), AgentState(0, 0, 1)), True)
+        assert _check_safety(*transition) == "interaction moved a bra"
 
     def test_changed_ket_multiset_is_caught(self):
-        event = self._event((AgentState(0, 1, 0), AgentState(1, 0, 1)),
-                            (AgentState(0, 1, 0), AgentState(1, 1, 1)), True)
-        with pytest.raises(InvariantViolation):
-            _check_safety(event)
+        transition = _transition_of((AgentState(0, 1, 0), AgentState(1, 0, 1)),
+                                    (AgentState(0, 1, 0), AgentState(1, 1, 1)), True)
+        assert _check_safety(*transition) == "interaction changed the ket multiset"
 
     def test_silent_ket_swap_is_caught(self):
-        event = self._event((AgentState(0, 1, 0), AgentState(1, 0, 1)),
-                            (AgentState(0, 0, 0), AgentState(1, 1, 1)), False)
-        with pytest.raises(InvariantViolation):
-            _check_safety(event)
+        transition = _transition_of((AgentState(0, 1, 0), AgentState(1, 0, 1)),
+                                    (AgentState(0, 0, 0), AgentState(1, 1, 1)), False)
+        assert _check_safety(*transition) == "kets moved without an exchange flag"
 
     def test_exchange_that_keeps_weights_is_caught(self):
-        event = self._event((AgentState(0, 1, 0), AgentState(1, 0, 1)),
-                            (AgentState(0, 1, 0), AgentState(1, 0, 1)), True)
-        with pytest.raises(InvariantViolation):
-            _check_full(event, 2)
+        transition = _transition_of((AgentState(0, 1, 0), AgentState(1, 0, 1)),
+                                    (AgentState(0, 1, 0), AgentState(1, 0, 1)), True)
+        assert _check_full(*transition) == "ket exchange left all weights unchanged"
 
     def test_exchange_that_raises_the_potential_is_caught(self):
-        event = self._event((AgentState(0, 1, 0), AgentState(1, 0, 1)),
-                            (AgentState(0, 0, 0), AgentState(1, 1, 1)), True)
-        with pytest.raises(InvariantViolation):
-            _check_full(event, 2)
+        transition = _transition_of((AgentState(0, 1, 0), AgentState(1, 0, 1)),
+                                    (AgentState(0, 0, 0), AgentState(1, 1, 1)), True)
+        assert _check_full(*transition) == (
+            "ket exchange did not lower the weight vector")
 
     def test_legitimate_exchange_passes_both_levels(self):
-        event = self._event((AgentState(0, 0, 0), AgentState(1, 1, 1)),
-                            (AgentState(0, 1, 0), AgentState(1, 0, 1)), True)
-        _check_safety(event)
-        _check_full(event, 2)
+        transition = _transition_of((AgentState(0, 0, 0), AgentState(1, 1, 1)),
+                                    (AgentState(0, 1, 0), AgentState(1, 0, 1)), True)
+        assert _check_safety(*transition) is None
+        assert _check_full(*transition) is None
 
     def test_buggy_interaction_rule_aborts_the_run(self, monkeypatch):
         def clobber_kets(a, b, k):
