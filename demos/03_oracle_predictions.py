@@ -16,7 +16,7 @@ print(f"inputs: {colors} on the {k}-color circle")
 
 partition = greedy_partition(colors)
 print("\nlayers (colors appearing at least p times):")
-for p, layer in enumerate(partition.sets, start=1):
+for p, layer in enumerate(partition, start=1):
     arcs = sorted(circle_braket_set(layer).elements())
     print(f"  layer {p}: {sorted(layer)} -> cycle {arcs}")
 

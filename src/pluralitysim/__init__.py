@@ -14,9 +14,8 @@ verify checks runs against those predictions end to end.
 from .engine import (Configuration, FixedSteps, InvariantViolation,
                      RunMetrics, RunResult, RunTrace, StopPolicy, TraceEvent,
                      UntilQuiescent, init_configuration, is_quiescent, run)
-from .oracle import (GreedyPartition, braket_balanced, brute_majority,
-                     circle_braket_set, greedy_partition,
-                     majority_by_partition, predicted_stable_multiset)
+from .oracle import (brute_majority, circle_braket_set, greedy_partition,
+                     predicted_stable_multiset)
 from .protocol import (AgentState, InteractionResult, all_states,
                        apply_interaction, init_agent, weight)
 from .schedulers import (AgentPair, RoundRobin, Scheduler,
@@ -31,15 +30,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentPair", "AgentState", "Configuration", "FixedSteps",
-    "GreedyPartition", "InstanceFailure", "InteractionResult",
-    "InvariantViolation", "RoundRobin", "RunMetrics", "RunResult", "RunTrace",
-    "Scheduler", "StarvationAdversary", "StopPolicy", "TraceEvent",
-    "UniformRandom", "UntilQuiescent", "VerifyReport", "all_states",
-    "apply_interaction", "braket_balanced", "brute_majority", "canonical_pair",
-    "checked_run", "circle_braket_set", "enumerate_instances",
-    "fairness_audit", "greedy_partition", "init_agent", "init_configuration",
-    "is_quiescent", "majority_by_partition", "make_scheduler", "pair_count",
-    "pair_from_index", "pair_index", "predicted_stable_multiset",
-    "random_instance", "reachable_state_set", "rotation_canonical", "run",
-    "verify_battery", "weight", "__version__",
+    "InstanceFailure", "InteractionResult", "InvariantViolation",
+    "RoundRobin", "RunMetrics", "RunResult", "RunTrace", "Scheduler",
+    "StarvationAdversary", "StopPolicy", "TraceEvent", "UniformRandom",
+    "UntilQuiescent", "VerifyReport", "all_states", "apply_interaction",
+    "brute_majority", "canonical_pair", "checked_run", "circle_braket_set",
+    "enumerate_instances", "fairness_audit", "greedy_partition",
+    "init_agent", "init_configuration", "is_quiescent", "make_scheduler",
+    "pair_count", "pair_from_index", "pair_index",
+    "predicted_stable_multiset", "random_instance", "reachable_state_set",
+    "rotation_canonical", "run", "verify_battery", "weight", "__version__",
 ]

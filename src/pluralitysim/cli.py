@@ -81,15 +81,16 @@ def parse_color_list(text: str) -> list[int]:
     return colors
 
 
-def parse_size_list(flag: str, text: str) -> list[int]:
-    """Positive integers from "10,20" or "10 20"; errors name the flag."""
+def parse_size_list(flag: str, text: str, positive: bool = True) -> list[int]:
+    """Integers from "10,20" or "10 20", checked as by _check_flag;
+    errors name the flag."""
     sizes = []
     for token in text.replace(",", " ").split():
         try:
             size = int(token)
         except ValueError:
             raise UsageError(f"cannot parse {flag} value {token!r}") from None
-        _check_flag(flag, size, positive=True)
+        _check_flag(flag, size, positive)
         sizes.append(size)
     if not sizes:
         raise UsageError(f"{flag} is empty")
@@ -271,7 +272,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 raise UsageError(f"{flag} needs --scheduler adversary")
     colors, k = resolve_inputs(args)
     n = len(colors)
-    exclude = parse_color_list(args.adversary_exclude or "0,1")
+    exclude = parse_size_list(
+        "--adversary-exclude",
+        "0,1" if args.adversary_exclude is None else args.adversary_exclude,
+        positive=False)
     if len(exclude) != 2:
         raise UsageError("--adversary-exclude needs exactly two indices")
     _check_flag("--adversary-release", args.adversary_release)

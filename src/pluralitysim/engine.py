@@ -40,7 +40,8 @@ class Configuration:
     balance; balance is a property of reachable populations (initial
     states are self-loops and interactions only permute kets), enforced
     during runs, not a precondition of the type. Agents that share one
-    state object are validated once, in order of first appearance.
+    state object are validated once, in order of first appearance. The
+    views are the two multisets the checks read: bra-ket pairs and outs.
     """
 
     k: int
@@ -57,10 +58,6 @@ class Configuration:
     def n(self) -> int:
         return len(self.states)
 
-    def state_counts(self) -> Counter:
-        """Multiset view: state -> multiplicity."""
-        return Counter(self.states)
-
     def braket_counts(self) -> Counter:
         """Multiset view of (bra, ket) pairs, outs ignored."""
         return Counter((s.bra, s.ket) for s in self.states)
@@ -68,10 +65,6 @@ class Configuration:
     def output_counts(self) -> Counter:
         """Multiset view of the out fields."""
         return Counter(s.out for s in self.states)
-
-    def sorted_weights(self) -> tuple[int, ...]:
-        """Ascending vector of all agents' bra-ket weights."""
-        return tuple(sorted(_weight(s.bra, s.ket, self.k) for s in self.states))
 
 
 class TraceEvent(NamedTuple):

@@ -44,14 +44,11 @@ def enumerate_instances(n_max: int, k_max: int, up_to_symmetry: bool = True):
     """
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
-            seen = set()
+            # Sorted tuples come in lexicographic order and an orbit's
+            # representative is its least rotation, so it comes first.
             for combo in combinations_with_replacement(range(k), n):
-                if up_to_symmetry:
-                    combo = rotation_canonical(combo, k)
-                    if combo in seen:
-                        continue
-                    seen.add(combo)
-                yield k, combo
+                if not up_to_symmetry or rotation_canonical(combo, k) == combo:
+                    yield k, combo
 
 
 def random_instance(rng: np.random.Generator, n_max: int, k_max: int):

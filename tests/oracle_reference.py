@@ -2,19 +2,18 @@
 
 These deliberately avoid the closed forms and the engine internals: the
 layer partition is computed by draining, stability of a bra-ket multiset
-by checking all pairs directly, the set of quiescent outcomes by
-exhaustive search over every schedule, a single interaction step
-through the validated public rule instead of the engine's transition
-table, and the runtime invariants on decoded states with multiset
-arithmetic instead of on table entries. Tests compare the fast library
-code against these.
+by checking all pairs directly, bra-ket balance by tallying bras against
+kets, the set of quiescent outcomes by exhaustive search over every
+schedule, a single interaction step through the validated public rule
+instead of the engine's transition table, and the runtime invariants and
+the sorted weight vector on decoded states instead of on table entries.
+Tests compare the fast library code against these.
 """
 
 from collections import Counter
-from itertools import permutations
 
 from pluralitysim.engine import Configuration, TraceEvent
-from pluralitysim.protocol import AgentState, apply_interaction, check_k, weight
+from pluralitysim.protocol import AgentState, apply_interaction, weight
 
 
 def potential_less(weights_a, weights_b) -> bool:
@@ -31,24 +30,20 @@ def potential_less(weights_a, weights_b) -> bool:
     return a < b
 
 
-def mod_range(x: int, y: int, p: int, closed: bool = True) -> set[int]:
-    """Residues reached walking the circle mod p from x to y.
+def sorted_weights(config) -> tuple[int, ...]:
+    """Ascending vector of all agents' bra-ket weights, recomputed from
+    the decoded states through the public weight function."""
+    return tuple(sorted(weight(s.bra, s.ket, config.k) for s in config.states))
 
-    Closed ranges include both endpoints: [2,7] mod 10 is {2,...,7} and
-    wrapping works, e.g. the open range (8,3) mod 10 is {9, 0, 1, 2}.
-    Degenerate cases: [x,x] is {x mod p}; the open range (x,x) walks the
-    whole circle and yields every residue except x, which follows the
-    index formula rather than intuition; (x, x+1) is empty.
-    """
-    check_k(p)
-    if x < 0 or y < 0:
-        raise ValueError(f"range endpoints must be non-negative, got ({x}, {y})")
-    distance = (y - x) % p
-    if closed:
-        return {(x + t) % p for t in range(distance + 1)}
-    if distance == 0:
-        distance = p
-    return {(x + t) % p for t in range(1, distance)}
+
+def braket_balanced(braket_counts) -> bool:
+    """True iff every color has as many bras as kets in the multiset."""
+    bras: Counter = Counter()
+    kets: Counter = Counter()
+    for (bra, ket), mult in braket_counts.items():
+        bras[bra] += mult
+        kets[ket] += mult
+    return bras == kets
 
 
 def quiescent_by_pairs(config):
@@ -147,24 +142,6 @@ def is_exchange_stable(brakets, k):
             if swapped < kept:
                 return False
     return True
-
-
-def stable_matchings(input_colors, k):
-    """All exchange-stable bra-ket multisets pairing the inputs with
-    themselves.
-
-    Bras are the input multiset and so are the kets (interactions only
-    permute kets), so every candidate outcome is some assignment of the
-    ket multiset onto the bras. Factorial cost; keep n small.
-    """
-    colors = tuple(input_colors)
-    outcomes = {}
-    for kets in set(permutations(colors)):
-        counts = Counter(zip(colors, kets))
-        key = frozenset(counts.items())
-        if key not in outcomes and is_exchange_stable(counts.elements(), k):
-            outcomes[key] = counts
-    return list(outcomes.values())
 
 
 def exhaustive_quiescent_outcomes(input_colors, k):

@@ -14,10 +14,9 @@ import time
 
 import numpy as np
 
-from oracle_reference import greedy_drain
+from oracle_reference import braket_balanced, greedy_drain
 from pluralitysim.engine import UntilQuiescent, init_configuration, run
-from pluralitysim.oracle import (braket_balanced, brute_majority,
-                                 greedy_partition, majority_by_partition)
+from pluralitysim.oracle import brute_majority, greedy_partition
 from pluralitysim.protocol import all_states
 from pluralitysim.schedulers import StarvationAdversary, pair_from_index
 from pluralitysim.verify import (enumerate_instances, random_instance,
@@ -121,8 +120,10 @@ def test_criterion_5_closed_forms_vs_references(capsys):
     def check():
         instances = 0
         for k, colors in enumerate_instances(8, 5, up_to_symmetry=False):
-            assert list(greedy_partition(colors).sets) == greedy_drain(colors)
-            assert majority_by_partition(colors) == brute_majority(colors)
+            partition = greedy_partition(colors)
+            assert list(partition) == greedy_drain(colors)
+            deepest = partition[-1]
+            assert (min(deepest), len(deepest) == 1) == brute_majority(colors)
             instances += 1
         assert instances == 1996
         return f"{instances} multisets, both closed forms agree exactly"

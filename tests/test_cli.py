@@ -169,6 +169,21 @@ class TestRunCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: {flag} needs --scheduler adversary\n"
 
+    @pytest.mark.parametrize("arg, message", [
+        ("--adversary-exclude=1:2",
+         "cannot parse --adversary-exclude value '1:2'"),
+        ("--adversary-exclude=-1,2",
+         "--adversary-exclude must be non-negative, got -1"),
+        ("--adversary-exclude=a,b",
+         "cannot parse --adversary-exclude value 'a'"),
+        ("--adversary-exclude=", "--adversary-exclude is empty"),
+    ], ids=["count-token", "negative", "not-a-number", "empty"])
+    def test_adversary_exclude_errors_name_the_flag(self, capsys, arg,
+                                                    message):
+        code, out, err = run_cli(capsys, "run", "--colors", "0,1,1",
+                                 "--scheduler", "adversary", arg)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
     def test_fixed_steps_policy(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--colors", "0,1,1",
                                "--fixed-steps", "9")

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_reference import (full_violation, potential_less,
-                              quiescent_by_pairs, safety_violation, step)
+                              quiescent_by_pairs, safety_violation,
+                              sorted_weights, step)
 from pluralitysim import engine, protocol
 from pluralitysim.engine import (Configuration, FixedSteps,
                                  InvariantViolation, TraceEvent,
@@ -35,8 +36,8 @@ class TestConfiguration:
         assert config.braket_counts() == Counter(
             {(0, 1): 1, (1, 0): 1, (1, 1): 1})
         assert config.output_counts() == Counter({0: 1, 1: 2})
-        assert config.state_counts()[AgentState(1, 1, 1)] == 1
-        assert config.sorted_weights() == (1, 1, 2)
+        assert Counter(config.states)[AgentState(1, 1, 1)] == 1
+        assert sorted_weights(config) == (1, 1, 2)
 
     def test_rejects_colors_outside_k(self):
         with pytest.raises(ValueError):
@@ -311,11 +312,11 @@ class TestRun:
         for event in trace.events:
             i, j = event.pair
             assert (current.states[i], current.states[j]) == event.pre
-            before = current.sorted_weights()
+            before = sorted_weights(current)
             current, echo = step(current, event.pair)
             assert (echo.exchanged, echo.out_changed) == (
                 event.exchanged, event.out_changed)
-            after = current.sorted_weights()
+            after = sorted_weights(current)
             if event.exchanged:
                 assert potential_less(after, before)
             else:

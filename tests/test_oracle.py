@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import (exhaustive_quiescent_outcomes, greedy_drain,
-                              is_exchange_stable, mod_range, potential_less)
-from pluralitysim.oracle import (braket_balanced, brute_majority,
-                                 circle_braket_set, greedy_partition,
-                                 majority_by_partition,
-                                 predicted_stable_multiset)
+from oracle_reference import (braket_balanced, exhaustive_quiescent_outcomes,
+                              greedy_drain, is_exchange_stable, potential_less)
+from pluralitysim.oracle import (brute_majority, circle_braket_set,
+                                 greedy_partition, predicted_stable_multiset)
 
 
 @st.composite
@@ -23,9 +21,8 @@ def color_multisets(draw, k_max=8, n_max=20):
 
 class TestGreedyPartition:
     def test_layers_by_multiplicity_threshold(self):
-        partition = greedy_partition([0, 0, 1, 2])
-        assert partition.sets == (frozenset({0, 1, 2}), frozenset({0}))
-        assert partition.depth == 2
+        assert greedy_partition([0, 0, 1, 2]) == (frozenset({0, 1, 2}),
+                                                  frozenset({0}))
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
@@ -34,19 +31,19 @@ class TestGreedyPartition:
     @given(color_multisets())
     def test_matches_literal_draining(self, case):
         _, colors = case
-        assert list(greedy_partition(colors).sets) == greedy_drain(colors)
+        assert list(greedy_partition(colors)) == greedy_drain(colors)
 
     @given(color_multisets())
     def test_layers_nest_and_restore_the_input(self, case):
         _, colors = case
         partition = greedy_partition(colors)
-        for upper, lower in zip(partition.sets, partition.sets[1:]):
+        for upper, lower in zip(partition, partition[1:]):
             assert lower <= upper
         restored = Counter()
-        for layer in partition.sets:
+        for layer in partition:
             restored += Counter(layer)
         assert restored == Counter(colors)
-        assert partition.depth == max(Counter(colors).values())
+        assert len(partition) == max(Counter(colors).values())
 
 
 class TestCircleBraketSet:
@@ -120,7 +117,9 @@ class TestMajority:
     @given(color_multisets())
     def test_partition_criterion_agrees_with_counting(self, case):
         _, colors = case
-        assert majority_by_partition(colors) == brute_majority(colors)
+        # The deepest layer holds exactly the colors of top multiplicity.
+        deepest = greedy_partition(colors)[-1]
+        assert (min(deepest), len(deepest) == 1) == brute_majority(colors)
 
 
 class TestPotentialLess:
@@ -139,33 +138,3 @@ class TestBraketBalanced:
         assert braket_balanced(Counter({(0, 1): 1, (1, 0): 1}))
         assert not braket_balanced(Counter({(0, 1): 1}))
 
-
-class TestModRange:
-    def test_plain_closed_range(self):
-        assert mod_range(2, 7, 10) == {2, 3, 4, 5, 6, 7}
-
-    def test_wrapping_open_range(self):
-        assert mod_range(8, 3, 10, closed=False) == {9, 0, 1, 2}
-
-    def test_wrapping_closed_range(self):
-        assert mod_range(8, 3, 10) == {8, 9, 0, 1, 2, 3}
-
-    def test_degenerate_ranges(self):
-        assert mod_range(4, 4, 10) == {4}
-        assert mod_range(4, 4, 10, closed=False) == set(range(10)) - {4}
-        assert mod_range(4, 5, 10, closed=False) == set()
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            mod_range(0, 1, 0)
-        with pytest.raises(ValueError):
-            mod_range(-1, 1, 5)
-
-    @given(st.integers(0, 11), st.integers(0, 11), st.integers(1, 12))
-    def test_closed_size_and_open_complement(self, x, y, p):
-        x, y = x % p, y % p
-        closed = mod_range(x, y, p)
-        assert len(closed) == (y - x) % p + 1
-        if x != y:
-            assert mod_range(x, y, p, closed=False) == closed - {x, y}
-            assert closed | mod_range(y, x, p) == set(range(p))

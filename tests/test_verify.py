@@ -1,6 +1,7 @@
 """Unit tests for instance enumeration and the verification battery."""
 
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 from hypothesis import given, settings
@@ -61,9 +62,18 @@ class TestEnumerateInstances:
             assert tuple(sorted(colors)) == colors
 
     def test_reduced_set_covers_every_orbit(self):
-        reduced = {(k, colors) for k, colors in enumerate_instances(3, 4)}
-        for k, colors in enumerate_instances(3, 4, up_to_symmetry=False):
-            assert (k, rotation_canonical(colors, k)) in reduced
+        # Reference: canonicalize every multiset and keep each orbit's
+        # first appearance, in enumeration order.
+        expected = []
+        for k in range(1, 6):
+            for n in range(1, 7):
+                seen = set()
+                for colors in combinations_with_replacement(range(k), n):
+                    canonical = rotation_canonical(colors, k)
+                    if canonical not in seen:
+                        seen.add(canonical)
+                        expected.append((k, canonical))
+        assert list(enumerate_instances(6, 5)) == expected
 
 
 class TestRandomInstance:
