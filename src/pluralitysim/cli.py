@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -155,9 +156,12 @@ def make_random_colors(spec_text: str, n: int, k: int | None,
             k = len(weights)
         elif k != len(weights):
             raise UsageError(f"{len(weights)} weights but --k {k}")
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
+        total = sum(weights)
+        if not math.isfinite(total):   # a nan or infinite weight, or overflow
+            raise UsageError(f"weights {arg!r} must be finite with a finite sum")
+        if any(w < 0 for w in weights) or total <= 0:
             raise UsageError("weights must be non-negative and not all zero")
-        p = np.asarray(weights) / sum(weights)
+        p = np.asarray(weights) / total
         return [int(c) for c in rng.choice(k, size=n, p=p)], k
     if kind == "planted":
         try:
@@ -270,6 +274,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                             ("--adversary-release", args.adversary_release)):
             if value is not None:
                 raise UsageError(f"{flag} needs --scheduler adversary")
+    if args.cap is not None and args.fixed_steps is not None:
+        raise UsageError("--cap and --fixed-steps exclude each other")
     colors, k = resolve_inputs(args)
     n = len(colors)
     exclude = parse_size_list(

@@ -326,16 +326,21 @@ def _settled(codes, k: int, table: dict) -> bool:
     transition the table lacks is computed here and not kept: only a
     run's steps check transitions.
     """
-    sizes: Counter = Counter()
     only_out: dict[int, int] = {}   # bra-ket -> its one out color, else -2
-    for code, mult in Counter(codes).items():
-        bra_ket, out = divmod(code, k)
-        sizes[bra_ket] += mult
-        only_out[bra_ket] = out if only_out.get(bra_ket, out) == out else -2
+    shared: set[int] = set()        # bra-kets held by at least two agents
+    for code in codes:
+        bra_ket = code // k
+        out = only_out.get(bra_ket)
+        if out is None:
+            only_out[bra_ket] = code % k
+        else:
+            shared.add(bra_ket)
+            if out != code % k:
+                only_out[bra_ket] = -2
     present = list(only_out)
     kk = k * k
     for idx, g in enumerate(present):
-        for h in present[idx if sizes[g] > 1 else idx + 1:]:
+        for h in present[idx if g in shared else idx + 1:]:
             key = g * kk + h
             _, _, exchanged, loop = table.get(key) or _transition(key, k)
             if exchanged or (loop >= 0 and not only_out[g] == only_out[h] == loop):

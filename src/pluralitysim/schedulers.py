@@ -13,6 +13,11 @@ per-sample guarantee; tests that need guaranteed convergence use
 RoundRobin. StarvationAdversary withholds one pair until a release step,
 deliberately violating weak fairness, so that tests can show safety holds
 anyway and that convergence genuinely needs fairness.
+
+Every scheduler turns pair ranks into pairs through one function. A
+population with at most 4096 pairs (n <= 91) reads them from a table of
+all its pairs, built on first use and kept for the process; larger
+populations compute them in closed form, which is exact up to n = 3*10**9.
 """
 
 from __future__ import annotations
@@ -25,7 +30,11 @@ from .protocol import _count
 
 AgentPair = tuple[int, int]
 
-_MAX_AGENTS = 3 * 10**9   # above this, m*(m-1) in _pairs_from_indices overflows
+_MAX_AGENTS = 3 * 10**9   # above this, m*(m-1) in _closed_form overflows
+_TABLE_PAIRS = 4096       # most pairs of a population that gets a pair table
+
+# n -> (firsts, seconds) of all pairs of n agents, for tabled populations.
+_PAIR_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def canonical_pair(first: int, second: int) -> AgentPair:
@@ -43,8 +52,7 @@ def pair_count(n: int) -> int:
 def pair_from_index(index: int, n: int) -> AgentPair:
     """The index-th canonical pair in lexicographic order.
 
-    Order is (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1). Computed
-    arithmetically so no pair list is materialized.
+    Order is (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1).
     """
     total = pair_count(n)
     if _count(index, "pair index") >= total:
@@ -74,6 +82,23 @@ def _check_span(start: int, count: int, n: int) -> tuple[int, int, int]:
 
 def _pairs_from_indices(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The canonical pairs of an array of valid indices, as (firsts, seconds).
+
+    Read from the population's pair table when it has at most
+    _TABLE_PAIRS pairs, else computed in closed form. The arrays are new
+    either way, never views of a table.
+    """
+    total = pair_count(n)
+    if total > _TABLE_PAIRS:
+        return _closed_form(index, n)
+    table = _PAIR_TABLES.get(n)
+    if table is None:
+        table = _PAIR_TABLES[n] = _closed_form(np.arange(total, dtype=np.int64), n)
+    firsts, seconds = table
+    return firsts[index], seconds[index]
+
+
+def _closed_form(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical pairs of an array of valid indices, computed.
 
     Rank from the end: the last pair (n-2, n-1) has r = 1, and the
     smallest m with m*(m-1)/2 >= r gives first = n - m. The float square

@@ -22,6 +22,26 @@ from .protocol import AgentState, _interact, check_color, check_k
 from .schedulers import RoundRobin
 
 
+def _rotations(counts: list[int]):
+    """The count vectors of a multiset's rotations, counts[c] being the
+    number of agents of color c.
+
+    Adding r mod k to every color turns counts into counts[k-r:] +
+    counts[:k-r]. Of two multisets of one size, the sorted colors of the
+    one with the lexicographically greater count vector are the less, so
+    the least sorted rotation has the greatest count vector.
+    """
+    return (counts[r:] + counts[:r] for r in range(len(counts)))
+
+
+def _is_least_rotation(counts: list[int]) -> bool:
+    """True iff no rotation of the count vector is greater than it."""
+    # A rotation that starts at a greater count is greater: the first
+    # test is a shortcut of the second.
+    return (max(counts) == counts[0]
+            and all(rotation <= counts for rotation in _rotations(counts)))
+
+
 def rotation_canonical(colors, k: int) -> tuple[int, ...]:
     """Least sorted representative of a color multiset under rotation.
 
@@ -30,9 +50,12 @@ def rotation_canonical(colors, k: int) -> tuple[int, ...]:
     up to rotation behave identically. Arbitrary color permutations do
     not commute with it and are not quotiented out.
     """
-    check_k(k)
-    colors = [check_color(c, k) for c in colors]
-    return min(tuple(sorted((c + r) % k for c in colors)) for r in range(k))
+    k = check_k(k)
+    counts = [0] * k
+    for c in colors:
+        counts[check_color(c, k)] += 1
+    best = max(_rotations(counts))
+    return tuple(c for c, m in enumerate(best) for _ in range(m))
 
 
 def enumerate_instances(n_max: int, k_max: int, up_to_symmetry: bool = True):
@@ -40,15 +63,22 @@ def enumerate_instances(n_max: int, k_max: int, up_to_symmetry: bool = True):
 
     Colors come as sorted tuples (agent order never affects the checked
     properties, only the step-by-step schedule). With up_to_symmetry,
-    rotation-equivalent multisets are yielded once.
+    rotation-equivalent multisets are yielded once: a multiset is yielded
+    exactly when it is its orbit's least sorted rotation, that is when no
+    rotation of its count vector is greater.
     """
     for k in range(1, k_max + 1):
+        colors = range(k)
         for n in range(1, n_max + 1):
-            # Sorted tuples come in lexicographic order and an orbit's
-            # representative is its least rotation, so it comes first.
-            for combo in combinations_with_replacement(range(k), n):
-                if not up_to_symmetry or rotation_canonical(combo, k) == combo:
-                    yield k, combo
+            for combo in combinations_with_replacement(colors, n):
+                if up_to_symmetry:
+                    if combo[0]:
+                        # This combo and every later one lack color 0,
+                        # which a least rotation holds most often.
+                        break
+                    if not _is_least_rotation(list(map(combo.count, colors))):
+                        continue
+                yield k, combo
 
 
 def random_instance(rng: np.random.Generator, n_max: int, k_max: int):

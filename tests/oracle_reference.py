@@ -5,8 +5,10 @@ layer partition is computed by draining, stability of a bra-ket multiset
 by checking all pairs directly, bra-ket balance by tallying bras against
 kets, the set of quiescent outcomes by exhaustive search over every
 schedule, a single interaction step through the validated public rule
-instead of the engine's transition table, and the runtime invariants and
-the sorted weight vector on decoded states instead of on table entries.
+instead of the engine's transition table, the runtime invariants and
+the sorted weight vector on decoded states instead of on table entries,
+and the least rotation of a color multiset by sorting every rotation
+instead of comparing count vectors.
 Tests compare the fast library code against these.
 """
 
@@ -109,6 +111,11 @@ def full_violation(event, k):
     elif gone or came:
         return "weights changed without a ket exchange"
     return None
+
+
+def least_sorted_rotation(colors, k):
+    """Least sorted tuple among the rotations (c + r) % k of the colors."""
+    return min(tuple(sorted((c + r) % k for c in colors)) for r in range(k))
 
 
 def greedy_drain(input_colors):

@@ -136,6 +136,17 @@ class TestRunCommand:
             assert code == EXIT_USAGE, case
             assert err
 
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf",
+                                         "1e308,1e308"],
+                             ids=["nan", "inf", "negative-inf", "overflowing-sum"])
+    def test_non_finite_weights_are_usage_errors_naming_them(self, capsys,
+                                                             weights):
+        code, out, err = run_cli(capsys, "run", "--random-colors",
+                                 f"weights={weights}", "--n", "5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"error: weights {weights!r} must be finite with a "
+                       "finite sum\n")
+
     def test_k_must_be_positive(self, capsys):
         for inputs in (("--random-colors", "uniform", "--n", "5"),
                        ("--colors", "0")):
@@ -192,6 +203,12 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "run", "--colors", "0,1,1",
                                "--fixed-steps", "1")
         assert code == EXIT_NO_CONVERGENCE
+
+    def test_cap_and_fixed_steps_are_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--colors", "0,1,1,2",
+                                 "--fixed-steps", "10", "--cap", "5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --cap and --fixed-steps exclude each other\n"
 
     def test_trace_file_holds_the_changing_steps(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.jsonl"

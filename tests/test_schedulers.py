@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pluralitysim import schedulers as scheduling
+from pluralitysim.engine import FixedSteps, init_configuration, run
 from pluralitysim.schedulers import (RoundRobin, StarvationAdversary,
                                      UniformRandom, canonical_pair,
                                      fairness_audit, make_scheduler,
@@ -48,7 +50,9 @@ def scalar_schedule(scheduler, steps):
 @st.composite
 def schedulers(draw):
     kind = draw(st.sampled_from(["roundrobin", "random", "adversary"]))
-    n = draw(st.integers(2 if kind != "adversary" else 3, 40))
+    # up to 120 agents, so that populations beyond the pair table's 91
+    # are drawn too
+    n = draw(st.integers(2 if kind != "adversary" else 3, 120))
     if kind == "roundrobin":
         return RoundRobin(n)
     if kind == "random":
@@ -64,7 +68,7 @@ class TestPairIndexing:
         with pytest.raises(ValueError):
             canonical_pair(2, 2)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 41])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 41, 91, 92])
     def test_matches_lexicographic_enumeration(self, n):
         expected = list(combinations(range(n), 2))
         assert [pair_from_index(i, n) for i in range(pair_count(n))] == expected
@@ -101,6 +105,40 @@ class TestPairIndexing:
             pair_from_index(0, 3 * 10**9 + 1)
         with pytest.raises(ValueError):
             pair_index((1, 1), 3)
+
+
+class TestPairTable:
+    def test_table_equals_the_closed_form_at_every_rank(self):
+        for n in range(2, 93):
+            ranks = np.arange(pair_count(n), dtype=np.int64)
+            tabled = scheduling._pairs_from_indices(ranks, n)
+            computed = scheduling._closed_form(ranks, n)
+            for got, expected in zip(tabled, computed):
+                assert got.dtype == np.int64
+                assert got.tolist() == expected.tolist()
+
+    def test_only_populations_up_to_91_agents_keep_a_table(self, monkeypatch):
+        # 91 agents have 4095 pairs, 92 agents 4186
+        monkeypatch.setattr(scheduling, "_PAIR_TABLES", {})
+        run(init_configuration([0, 1] * 46, 2), RoundRobin(92), FixedSteps(5000))
+        assert scheduling._PAIR_TABLES == {}
+        UniformRandom(91, seed=0).pairs(0, 10)
+        assert list(scheduling._PAIR_TABLES) == [91]
+        assert len(scheduling._PAIR_TABLES[91][0]) == pair_count(91)
+
+    @pytest.mark.parametrize("sched", [
+        RoundRobin(7), UniformRandom(7, seed=3),
+        StarvationAdversary(7, (1, 2), release_step=9)],
+        ids=["roundrobin", "random", "adversary"])
+    def test_changing_returned_pairs_changes_no_later_result(self, sched):
+        for start, count in ((0, pair_count(7)), (5, 30)):
+            expected = scalar_schedule(sched, range(start, start + count))
+            firsts, seconds = sched.pairs(start, count)
+            firsts[:] = 5
+            seconds[:] = 6
+            assert pair_list(sched, start, count) == expected
+        assert [pair_from_index(i, 7) for i in range(pair_count(7))] == list(
+            combinations(range(7), 2))
 
 
 class TestRoundRobin:

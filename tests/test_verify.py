@@ -4,9 +4,11 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_reference import least_sorted_rotation
 from pluralitysim.protocol import AgentState, InteractionResult, all_states
 from pluralitysim.verify import (checked_run, enumerate_instances,
                                  random_instance, reachable_state_set,
@@ -28,6 +30,22 @@ class TestRotationCanonical:
     def test_sorted_multiset_comes_back_sorted(self):
         assert rotation_canonical([3, 0, 3], 4) == rotation_canonical(
             [0, 3, 3], 4)
+
+    def test_matches_sorting_every_rotation(self):
+        for k in range(1, 8):
+            for n in range(7):
+                for colors in combinations_with_replacement(range(k), n):
+                    expected = least_sorted_rotation(colors, k)
+                    assert rotation_canonical(colors, k) == expected
+                    assert rotation_canonical(colors[::-1], k) == expected
+
+    def test_validates_the_colors(self):
+        with pytest.raises(ValueError):
+            rotation_canonical([0, 3], 3)
+        with pytest.raises(ValueError):
+            rotation_canonical([0, True], 3)
+        with pytest.raises(ValueError):
+            rotation_canonical([0, 1], 0)
 
     @given(instances())
     def test_idempotent_and_rotation_invariant(self, case):
@@ -62,18 +80,19 @@ class TestEnumerateInstances:
             assert tuple(sorted(colors)) == colors
 
     def test_reduced_set_covers_every_orbit(self):
-        # Reference: canonicalize every multiset and keep each orbit's
-        # first appearance, in enumeration order.
-        expected = []
-        for k in range(1, 6):
-            for n in range(1, 7):
-                seen = set()
-                for colors in combinations_with_replacement(range(k), n):
-                    canonical = rotation_canonical(colors, k)
-                    if canonical not in seen:
-                        seen.add(canonical)
-                        expected.append((k, canonical))
-        assert list(enumerate_instances(6, 5)) == expected
+        # Reference: canonicalize every multiset by sorting its rotations
+        # and keep each orbit's first appearance, in enumeration order.
+        for n_max, k_max in ((6, 5), (8, 6), (5, 9)):
+            expected = []
+            for k in range(1, k_max + 1):
+                for n in range(1, n_max + 1):
+                    seen = set()
+                    for colors in combinations_with_replacement(range(k), n):
+                        canonical = least_sorted_rotation(colors, k)
+                        if canonical not in seen:
+                            seen.add(canonical)
+                            expected.append((k, canonical))
+            assert list(enumerate_instances(n_max, k_max)) == expected
 
 
 class TestRandomInstance:
