@@ -24,7 +24,7 @@ from .schedulers import (AgentPair, RoundRobin, Scheduler,
                          pair_from_index, pair_index)
 from .verify import (InstanceFailure, VerifyReport, checked_run,
                      enumerate_instances, random_instance,
-                     reachable_state_set, rotation_canonical, verify_battery)
+                     reachable_state_set, verify_battery)
 
 __version__ = "0.1.0"
 
@@ -39,5 +39,5 @@ __all__ = [
     "init_agent", "init_configuration", "is_quiescent", "make_scheduler",
     "pair_count", "pair_from_index", "pair_index",
     "predicted_stable_multiset", "random_instance", "reachable_state_set",
-    "rotation_canonical", "run", "verify_battery", "weight", "__version__",
+    "run", "verify_battery", "weight", "__version__",
 ]

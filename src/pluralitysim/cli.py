@@ -278,12 +278,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise UsageError("--cap and --fixed-steps exclude each other")
     colors, k = resolve_inputs(args)
     n = len(colors)
-    exclude = parse_size_list(
-        "--adversary-exclude",
-        "0,1" if args.adversary_exclude is None else args.adversary_exclude,
-        positive=False)
-    if len(exclude) != 2:
-        raise UsageError("--adversary-exclude needs exactly two indices")
+    exclude = [0, 1]
+    if args.adversary_exclude is not None:
+        exclude = parse_size_list("--adversary-exclude", args.adversary_exclude,
+                                  positive=False)
+        if len(exclude) != 2:
+            raise UsageError("--adversary-exclude needs exactly two indices")
+        if exclude[0] == exclude[1] or max(exclude) >= n:
+            raise UsageError(f"--adversary-exclude needs two distinct agents "
+                             f"below n={n}, got {exclude[0]},{exclude[1]}")
     _check_flag("--adversary-release", args.adversary_release)
     _check_flag("--fixed-steps", args.fixed_steps)
     _check_flag("--cap", args.cap)
@@ -297,9 +300,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         policy = UntilQuiescent(args.cap)
     config = init_configuration(colors, k)
-    final, trace, metrics = run(config, scheduler, policy,
-                                assertions=args.assertion_level,
-                                trace="changes" if args.trace else "off")
+    _, trace, metrics = run(config, scheduler, policy,
+                            assertions=args.assertion_level,
+                            trace="changes" if args.trace else "off")
 
     winner, unique = brute_majority(colors)
     doc = {
@@ -327,8 +330,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"no quiescence within {metrics.total_interactions} interactions",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    if unique and metrics.converged:
-        outputs = final.output_counts()
+    if unique:
+        outputs = metrics.final_outputs
         if set(outputs) != {winner}:
             print(f"converged but outputs {dict(outputs)} != winner {winner}",
                   file=sys.stderr)

@@ -13,12 +13,13 @@ process for each k and interaction rule.
 Two runtime invariants hold for every transition of the rule: the global
 bra-ket balance (safety) and the strict lexicographic drop of the sorted
 weight vector at every ket exchange (full). A transition depends on
-nothing but the two bra-kets, so each one is checked once, when a run
-first uses it, and enters the table only if it passes both checks. The
-run's assertion level ("off", "safety" or "full") decides only which
-failures raise InvariantViolation, with the step and pair of that use; a
-failing transition is never kept, so every later run checks it again at
-its own step. Runs at every level therefore cost the same per step.
+nothing but the two bra-kets, so the table has one fill rule: every
+transition computed, by a run step or a quiescence scan, is checked once
+against both invariants and kept iff it passes both. The run's assertion
+level ("off", "safety" or "full") decides only which failures raise
+InvariantViolation, with the step and pair of that use; a failing
+transition is never kept, so every later use checks it again. Runs at
+every level therefore cost the same per step.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .protocol import (AgentState, _count, _interact, _weight, check_color,
-                       check_k, init_agent, validate_state)
+                       check_k, validate_state)
 from .schedulers import AgentPair, Scheduler, pair_count
 
 
@@ -191,7 +192,7 @@ def init_configuration(input_colors, k: int) -> Configuration:
         color = check_color(value, k)
         state = fresh.get(color)
         if state is None:
-            state = fresh[color] = init_agent(color, k)
+            state = fresh[color] = AgentState(color, color, color)
         states.append(state)
     return Configuration(k, tuple(states))
 
@@ -293,27 +294,21 @@ def _decode(code: int, k: int, decoded: dict[int, AgentState]) -> AgentState:
     return state
 
 
-def _first_use(key: int, a: int, b: int, step: int, i: int, j: int, k: int,
-               table: dict, assertions: str) -> tuple[int, int, bool, int]:
-    """The transition for a key the table lacks, checked at this step.
+def _checked(key: int, k: int,
+             table: dict) -> tuple[tuple[int, int, bool, int], str | None, str]:
+    """The transition for key, kept in the table iff it passes both checks.
 
-    It enters the table only if it passes both checks. A failed check
-    raises if the run's assertion level includes it; otherwise the entry
-    serves this step without being kept.
+    Returns (entry, reason, level): reason says why the entry failed a
+    check, or is None, and level is the assertion level of the failed
+    check, "safety" or "full".
     """
     entry = _transition(key, k)
-    reason = _check_safety(key, entry, k)
-    raises = assertions != "off"
+    reason, level = _check_safety(key, entry, k), "safety"
     if reason is None:
-        reason = _check_full(key, entry, k)
-        raises = assertions == "full"
+        reason, level = _check_full(key, entry, k), "full"
     if reason is None:
         table[key] = entry
-    elif raises:
-        new_a, new_b, _ = _post(entry, a, b, k)
-        raise InvariantViolation(reason, step, (i, j), (_state(a, k), _state(b, k)),
-                                 (_state(new_a, k), _state(new_b, k)))
-    return entry
+    return entry, reason, level
 
 
 def _settled(codes, k: int, table: dict) -> bool:
@@ -323,8 +318,8 @@ def _settled(codes, k: int, table: dict) -> bool:
     depends on the bra-kets alone, and a broadcast of color c changes
     nothing only if every agent on both bra-kets already outputs c. A
     bra-ket meets itself only when at least two agents hold it. A
-    transition the table lacks is computed here and not kept: only a
-    run's steps check transitions.
+    transition the table lacks is filled through _checked; a failing one
+    answers the scan but raises nothing here.
     """
     only_out: dict[int, int] = {}   # bra-ket -> its one out color, else -2
     shared: set[int] = set()        # bra-kets held by at least two agents
@@ -342,7 +337,7 @@ def _settled(codes, k: int, table: dict) -> bool:
     for idx, g in enumerate(present):
         for h in present[idx if g in shared else idx + 1:]:
             key = g * kk + h
-            _, _, exchanged, loop = table.get(key) or _transition(key, k)
+            _, _, exchanged, loop = table.get(key) or _checked(key, k, table)[0]
             if exchanged or (loop >= 0 and not only_out[g] == only_out[h] == loop):
                 return False
     return True
@@ -364,8 +359,10 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
            records: list[tuple[int, ...]]):
     """Apply one batch of scheduled interactions to the codes in place.
 
-    Appends a trace record per kept step to records. Returns (ket
-    exchanges, out updates) of the batch.
+    A transition the table lacks is filled through _checked; its failure
+    raises InvariantViolation at this step and pair if the assertion level
+    includes the failed check. Appends a trace record per kept step to
+    records. Returns (ket exchanges, out updates) of the batch.
     """
     exchanges = out_updates = 0
     kk = k * k
@@ -378,7 +375,13 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
         try:
             entry = table[key]
         except KeyError:
-            entry = _first_use(key, a, b, step, i, j, k, table, assertions)
+            entry, reason, level = _checked(key, k, table)
+            # "full" raises every failure, "safety" only a safety failure
+            if reason is not None and assertions in ("full", level):
+                new_a, new_b, _ = _post(entry, a, b, k)
+                raise InvariantViolation(
+                    reason, step, (i, j), (_state(a, k), _state(b, k)),
+                    (_state(new_a, k), _state(new_b, k)))
         # _post, inlined: this loop runs once per interaction
         new_a, new_b, exchanged, loop = entry
         if loop < 0:

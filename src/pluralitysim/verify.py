@@ -6,56 +6,37 @@ compares the outcome against the oracle module: the final bra-ket
 multiset must equal the prediction, and with a unique plurality winner
 every agent must output it. Instance generators cover exhaustive
 enumeration (deduplicated under circle rotation, the symmetry the
-dynamics actually have), random sampling, and exhaustive reachability.
+dynamics actually have), random sampling, and exhaustive reachability,
+whose search applies the engine's checked transitions at full assertions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .engine import InvariantViolation, UntilQuiescent, init_configuration, run
+from .engine import (InvariantViolation, UntilQuiescent, _apply, _encode, _state,
+                     _table, init_configuration, run)
 from .oracle import brute_majority, predicted_stable_multiset
-from .protocol import AgentState, _interact, check_color, check_k
+from .protocol import AgentState
 from .schedulers import RoundRobin
 
 
-def _rotations(counts: list[int]):
-    """The count vectors of a multiset's rotations, counts[c] being the
-    number of agents of color c.
-
-    Adding r mod k to every color turns counts into counts[k-r:] +
-    counts[:k-r]. Of two multisets of one size, the sorted colors of the
-    one with the lexicographically greater count vector are the less, so
-    the least sorted rotation has the greatest count vector.
-    """
-    return (counts[r:] + counts[:r] for r in range(len(counts)))
-
-
 def _is_least_rotation(counts: list[int]) -> bool:
-    """True iff no rotation of the count vector is greater than it."""
+    """True iff no rotation of the count vector is greater than it.
+
+    counts[c] is the number of agents of color c. Adding r mod k to every
+    color turns counts into counts[k-r:] + counts[:k-r]. Of two multisets
+    of one size, the sorted colors of the one with the lexicographically
+    greater count vector are the less, so the least sorted rotation has
+    the greatest count vector.
+    """
     # A rotation that starts at a greater count is greater: the first
     # test is a shortcut of the second.
     return (max(counts) == counts[0]
-            and all(rotation <= counts for rotation in _rotations(counts)))
-
-
-def rotation_canonical(colors, k: int) -> tuple[int, ...]:
-    """Least sorted representative of a color multiset under rotation.
-
-    Rotating every color by the same offset mod k commutes with the
-    interaction rule (weights are circular distances), so instances equal
-    up to rotation behave identically. Arbitrary color permutations do
-    not commute with it and are not quotiented out.
-    """
-    k = check_k(k)
-    counts = [0] * k
-    for c in colors:
-        counts[check_color(c, k)] += 1
-    best = max(_rotations(counts))
-    return tuple(c for c, m in enumerate(best) for _ in range(m))
+            and all(counts[r:] + counts[:r] <= counts for r in range(len(counts))))
 
 
 def enumerate_instances(n_max: int, k_max: int, up_to_symmetry: bool = True):
@@ -151,7 +132,7 @@ def checked_run(colors, k: int,
             f"predicted {sorted(predicted.elements())}")
     winner, unique = brute_majority(colors)
     if unique:
-        outputs = final.output_counts()
+        outputs = metrics.final_outputs
         if set(outputs) != {winner}:
             return InstanceFailure(
                 k, colors, "output",
@@ -179,29 +160,28 @@ def reachable_state_set(input_colors, k: int) -> set[AgentState]:
     """Every agent state occurring in any configuration reachable from
     the given inputs under any schedule.
 
-    Breadth-first search over configuration multisets, trying every
-    unordered pair at every node. Exponential in general; meant for the
-    exhaustive small-population check that nothing outside the k**3
-    state enumeration ever appears.
+    Depth-first search over configurations as sorted tuples of state
+    codes, applying every unordered pair of agents at every node through
+    the run kernel at full assertions, so the search reads the same
+    checked transitions as every run. A rule that fails a check raises
+    InvariantViolation with step 0 and a pair of indices into the sorted
+    configuration. Exponential in general; meant for the exhaustive
+    small-population check that nothing outside the k**3 state
+    enumeration ever appears.
     """
-    start = tuple(sorted(init_configuration(input_colors, k).states))
-    seen_configs = {start}
+    config = init_configuration(input_colors, k)
+    k = config.k
+    table = _table(k)
+    start = tuple(sorted(_encode(state, k) for state in config.states))
+    seen = {start}
     frontier = [start]
-    states_seen = set(start)
     while frontier:
-        cfg = frontier.pop()
-        n = len(cfg)
-        for i in range(n):
-            for j in range(i + 1, n):
-                result = _interact(cfg[i], cfg[j], k)
-                if not (result.exchanged or result.out_changed):
-                    continue
-                nxt = list(cfg)
-                nxt[i], nxt[j] = result.a, result.b
-                nxt = tuple(sorted(nxt))
-                if nxt not in seen_configs:
-                    seen_configs.add(nxt)
-                    frontier.append(nxt)
-                    states_seen.add(result.a)
-                    states_seen.add(result.b)
-    return states_seen
+        codes = frontier.pop()
+        for i, j in combinations(range(len(codes)), 2):
+            after = list(codes)
+            if any(_apply(after, [i], [j], 0, k, table, "full", "off", [])):
+                after = tuple(sorted(after))
+                if after not in seen:
+                    seen.add(after)
+                    frontier.append(after)
+    return {_state(code, k) for code in set().union(*seen)}

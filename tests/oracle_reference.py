@@ -4,7 +4,8 @@ These deliberately avoid the closed forms and the engine internals: the
 layer partition is computed by draining, stability of a bra-ket multiset
 by checking all pairs directly, bra-ket balance by tallying bras against
 kets, the set of quiescent outcomes by exhaustive search over every
-schedule, a single interaction step through the validated public rule
+schedule, the reachable agent states by the same search over decoded
+states, a single interaction step through the validated public rule
 instead of the engine's transition table, the runtime invariants and
 the sorted weight vector on decoded states instead of on table entries,
 and the least rotation of a color multiset by sorting every rotation
@@ -149,6 +150,33 @@ def is_exchange_stable(brakets, k):
             if swapped < kept:
                 return False
     return True
+
+
+def reachable_states_by_search(input_colors, k):
+    """Every agent state in any configuration reachable from the given
+    inputs under any schedule, by search over sorted tuples of
+    AgentStates through the validated public rule; exponential, keep n
+    tiny."""
+    start = tuple(sorted(AgentState(c, c, c) for c in input_colors))
+    seen_configs = {start}
+    frontier = [start]
+    states_seen = set(start)
+    while frontier:
+        cfg = frontier.pop()
+        for i in range(len(cfg)):
+            for j in range(i + 1, len(cfg)):
+                result = apply_interaction(cfg[i], cfg[j], k)
+                if not (result.exchanged or result.out_changed):
+                    continue
+                nxt = list(cfg)
+                nxt[i], nxt[j] = result.a, result.b
+                nxt = tuple(sorted(nxt))
+                if nxt not in seen_configs:
+                    seen_configs.add(nxt)
+                    frontier.append(nxt)
+                    states_seen.add(result.a)
+                    states_seen.add(result.b)
+    return states_seen
 
 
 def exhaustive_quiescent_outcomes(input_colors, k):

@@ -188,7 +188,12 @@ class TestRunCommand:
         ("--adversary-exclude=a,b",
          "cannot parse --adversary-exclude value 'a'"),
         ("--adversary-exclude=", "--adversary-exclude is empty"),
-    ], ids=["count-token", "negative", "not-a-number", "empty"])
+        ("--adversary-exclude=0,5",
+         "--adversary-exclude needs two distinct agents below n=3, got 0,5"),
+        ("--adversary-exclude=1,1",
+         "--adversary-exclude needs two distinct agents below n=3, got 1,1"),
+    ], ids=["count-token", "negative", "not-a-number", "empty", "out-of-range",
+            "same-agent"])
     def test_adversary_exclude_errors_name_the_flag(self, capsys, arg,
                                                     message):
         code, out, err = run_cli(capsys, "run", "--colors", "0,1,1",

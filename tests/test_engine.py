@@ -361,9 +361,9 @@ class TestTransitionTable:
         monkeypatch.setattr("pluralitysim.engine._interact", rule)
         monkeypatch.setattr("pluralitysim.engine._check_full", counting_check)
         config = init_configuration([0, 1, 1, 2, 2, 2], 3)
-        _, _, first = run(config, RoundRobin(6), assertions="full")
+        run(config, RoundRobin(6), assertions="full")
         checked = len(calls)
-        assert 0 < checked < first.total_interactions
+        assert checked == len(set(calls)) > 0
         run(config, RoundRobin(6), assertions="full")
         assert len(calls) == checked
 
@@ -432,20 +432,46 @@ class TestTransitionTable:
                     assert _check_full(*transition) == full_violation(event, k)
 
     def test_violation_first_met_after_a_scan_names_its_step(self, monkeypatch):
-        def moves_a_bra_between_loops(a, b, k):
-            # wrong only when self-loops of colors 0 and 1 meet
-            result = _interact(a, b, k)
-            if (a.bra, a.ket, b.bra, b.ket) == (0, 0, 1, 1):
-                return result._replace(a=result.a._replace(bra=1))
-            return result
-
         monkeypatch.setattr("pluralitysim.engine._interact",
-                            moves_a_bra_between_loops)
+                            _moves_a_bra_between_loops)
         # the opening quiescence scan already meets the faulty pair of
         # bra-kets; the schedule reaches it at step 1
         with pytest.raises(InvariantViolation) as info:
             run(init_configuration([0, 0, 1], 2), RoundRobin(3))
         assert (info.value.step, info.value.pair) == (1, (0, 2))
+
+    def test_a_scan_keeps_only_transitions_that_pass_both_checks(
+            self, monkeypatch):
+        def rule(a, b, k):
+            return _interact(a, b, k)
+
+        # self-loops 0 and 1 meet through key 3 of k = 2
+        loops = init_configuration([0, 1], 2)
+        monkeypatch.setattr("pluralitysim.engine._interact",
+                            _moves_a_bra_between_loops)
+        assert not is_quiescent(loops)
+        assert 3 not in engine._TABLES[(2, _moves_a_bra_between_loops)]
+        monkeypatch.setattr("pluralitysim.engine._interact", rule)
+        assert not is_quiescent(loops)
+        # a settled triangle of k = 3 scans the keys of its three bra-kets
+        # (0, 1), (1, 2) and (2, 0), that is 1, 5 and 6
+        triangle = Configuration(3, (AgentState(0, 1, 0), AgentState(1, 2, 0),
+                                     AgentState(2, 0, 0)))
+        assert is_quiescent(triangle)
+        assert set(engine._TABLES[(2, rule)]) == {3}
+        assert set(engine._TABLES[(3, rule)]) == {1 * 9 + 5, 1 * 9 + 6, 5 * 9 + 6}
+        for k, used in ((2, _moves_a_bra_between_loops), (2, rule), (3, rule)):
+            for key, entry in engine._TABLES[(k, used)].items():
+                assert _check_safety(key, entry, k) is None
+                assert _check_full(key, entry, k) is None
+
+
+def _moves_a_bra_between_loops(a, b, k):
+    # wrong only when self-loops of colors 0 and 1 meet
+    result = _interact(a, b, k)
+    if (a.bra, a.ket, b.bra, b.ket) == (0, 0, 1, 1):
+        return result._replace(a=result.a._replace(bra=1))
+    return result
 
 
 def _clobber_kets(a, b, k):

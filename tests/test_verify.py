@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import least_sorted_rotation
+from oracle_reference import least_sorted_rotation, reachable_states_by_search
+from pluralitysim.engine import InvariantViolation
 from pluralitysim.protocol import AgentState, InteractionResult, all_states
 from pluralitysim.verify import (checked_run, enumerate_instances,
                                  random_instance, reachable_state_set,
-                                 rotation_canonical, verify_battery)
+                                 verify_battery)
 
 
 @st.composite
@@ -20,48 +21,6 @@ def instances(draw, k_max=6, n_max=10):
     k = draw(st.integers(1, k_max))
     colors = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=n_max))
     return k, colors
-
-
-class TestRotationCanonical:
-    def test_picks_the_least_rotation(self):
-        assert rotation_canonical([2, 3], 4) == (0, 1)
-        assert rotation_canonical([1, 1, 3], 4) == (0, 0, 2)
-
-    def test_sorted_multiset_comes_back_sorted(self):
-        assert rotation_canonical([3, 0, 3], 4) == rotation_canonical(
-            [0, 3, 3], 4)
-
-    def test_matches_sorting_every_rotation(self):
-        for k in range(1, 8):
-            for n in range(7):
-                for colors in combinations_with_replacement(range(k), n):
-                    expected = least_sorted_rotation(colors, k)
-                    assert rotation_canonical(colors, k) == expected
-                    assert rotation_canonical(colors[::-1], k) == expected
-
-    def test_validates_the_colors(self):
-        with pytest.raises(ValueError):
-            rotation_canonical([0, 3], 3)
-        with pytest.raises(ValueError):
-            rotation_canonical([0, True], 3)
-        with pytest.raises(ValueError):
-            rotation_canonical([0, 1], 0)
-
-    @given(instances())
-    def test_idempotent_and_rotation_invariant(self, case):
-        k, colors = case
-        canon = rotation_canonical(colors, k)
-        assert rotation_canonical(canon, k) == canon
-        for r in range(k):
-            rotated = [(c + r) % k for c in colors]
-            assert rotation_canonical(rotated, k) == canon
-
-    @given(instances())
-    def test_representative_stays_in_the_orbit(self, case):
-        k, colors = case
-        canon = rotation_canonical(colors, k)
-        orbit = {tuple(sorted((c + r) % k for c in colors)) for r in range(k)}
-        assert canon in orbit
 
 
 class TestEnumerateInstances:
@@ -123,12 +82,7 @@ class TestCheckedRun:
         assert failure.colors == (0, 1, 1)
 
     def test_flags_invariant_violations(self, monkeypatch):
-        def clobber_kets(a, b, k):
-            return InteractionResult(AgentState(a.bra, a.bra, a.out),
-                                     AgentState(b.bra, a.bra, b.out),
-                                     True, False)
-
-        monkeypatch.setattr("pluralitysim.engine._interact", clobber_kets)
+        monkeypatch.setattr("pluralitysim.engine._interact", _clobber_kets)
         failure = checked_run([0, 1, 1], 2)
         assert failure is not None
         assert failure.check == "invariant"
@@ -180,3 +134,24 @@ class TestReachableStateSet:
     def test_stays_inside_the_cubed_enumeration(self, case):
         k, colors = case
         assert reachable_state_set(colors, k) <= set(all_states(k))
+
+    @pytest.mark.parametrize("n_max, k_max", [(5, 4), (6, 3)])
+    def test_equals_the_search_over_decoded_states(self, n_max, k_max):
+        for k in range(1, k_max + 1):
+            for n in range(1, n_max + 1):
+                for colors in combinations_with_replacement(range(k), n):
+                    assert reachable_state_set(colors, k) == (
+                        reachable_states_by_search(colors, k)), (colors, k)
+
+    def test_a_rule_failing_a_check_raises(self, monkeypatch):
+        monkeypatch.setattr("pluralitysim.engine._interact", _clobber_kets)
+        with pytest.raises(InvariantViolation,
+                           match="interaction changed the ket multiset") as info:
+            reachable_state_set([0, 1, 1], 2)
+        assert (info.value.step, info.value.pair) == (0, (0, 1))
+
+
+def _clobber_kets(a, b, k):
+    # overwrites both kets with a's bra
+    return InteractionResult(AgentState(a.bra, a.bra, a.out),
+                             AgentState(b.bra, a.bra, b.out), True, False)
