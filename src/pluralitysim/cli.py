@@ -287,6 +287,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         if exclude[0] == exclude[1] or max(exclude) >= n:
             raise UsageError(f"--adversary-exclude needs two distinct agents "
                              f"below n={n}, got {exclude[0]},{exclude[1]}")
+    elif args.scheduler == "adversary" and n < 2:
+        raise UsageError(f"--scheduler adversary needs at least two agents, "
+                         f"got n={n}")
     _check_flag("--adversary-release", args.adversary_release)
     _check_flag("--fixed-steps", args.fixed_steps)
     _check_flag("--cap", args.cap)

@@ -116,9 +116,10 @@ class RunMetrics:
     """Summary counters of a run.
 
     quiescence_step is the interaction count at which a quiescence check
-    first succeeded (None if none did within the run); converged mirrors
-    it. Always ket_exchanges <= total_interactions, and quiescence_step
-    <= total_interactions when present.
+    first succeeded (None if none did within the run); checks run at step
+    0, at every round boundary and where the budget runs out. converged
+    mirrors it. Always ket_exchanges <= total_interactions, and
+    quiescence_step <= total_interactions when present.
     """
 
     total_interactions: int
@@ -411,14 +412,15 @@ def run(config: Configuration, scheduler: Scheduler,
         trace: str = "changes") -> RunResult:
     """Drive the configuration through the schedule until the policy stops.
 
-    Quiescence is checked before the first interaction, then once per
-    round of n*(n-1)/2 interactions. Under UntilQuiescent the run stops
-    at the first successful check or at the cap, whichever comes first;
-    under FixedSteps it always executes exactly the requested number of
-    interactions and the checks only feed the metrics. The scheduler must
-    be built for config.n agents. Assertion levels: "off", "safety"
-    (bra-ket conservation), "full" (safety plus the weight-vector drop at
-    each exchange); any violation raises InvariantViolation.
+    Quiescence is checked before the first interaction, after each round
+    of n*(n-1)/2 interactions and where the budget runs out. Under
+    UntilQuiescent the run stops at the first successful check or at the
+    cap, whichever comes first; under FixedSteps it runs exactly the
+    requested number of interactions and the checks only feed the
+    metrics. The scheduler must be built for config.n agents. Assertion
+    levels: "off", "safety" (bra-ket conservation), "full" (safety plus
+    the weight-vector drop at each exchange); any violation raises
+    InvariantViolation.
     """
     if assertions not in ASSERTION_LEVELS:
         raise ValueError(f"assertions must be one of {ASSERTION_LEVELS}, "
@@ -434,15 +436,14 @@ def run(config: Configuration, scheduler: Scheduler,
                          f"the configuration has {n}")
     round_length = max(pair_count(n), 1)
 
-    if isinstance(policy, UntilQuiescent):
+    stop_on_quiescence = isinstance(policy, UntilQuiescent)
+    if stop_on_quiescence:
         cycles = policy.max_cycles
         if cycles is None:
             cycles = DEFAULT_CAP_CYCLES_FACTOR * n * n
         limit = _count(cycles, "cap") * round_length
-        stop_on_quiescence = True
     else:
         limit = _count(policy.steps, "step budget")
-        stop_on_quiescence = False
     if limit > 0 and pair_count(n) == 0:
         # A single agent has no pairs; any step budget collapses to zero.
         limit = 0
@@ -451,8 +452,13 @@ def run(config: Configuration, scheduler: Scheduler,
     codes = [_encode(s, k) for s in config.states]
     records: list[tuple[int, ...]] = []
     total = exchanges = out_updates = 0
-    quiescence_step = 0 if _settled(codes, k, table) else None
-    while total < limit and not (stop_on_quiescence and quiescence_step is not None):
+    quiescence_step = None
+    while True:
+        # The one quiescence check: step 0, each round boundary, the budget's end.
+        if quiescence_step is None and (total % round_length == 0 or total == limit):
+            quiescence_step = total if _settled(codes, k, table) else None
+        if total == limit or (stop_on_quiescence and quiescence_step is not None):
+            break
         # A batch never crosses the next quiescence check.
         count = min(BATCH, limit - total)
         if quiescence_step is None:
@@ -464,12 +470,6 @@ def run(config: Configuration, scheduler: Scheduler,
         total += count
         exchanges += batch_exchanges
         out_updates += batch_out_updates
-        if (quiescence_step is None and total % round_length == 0
-                and _settled(codes, k, table)):
-            quiescence_step = total
-    if quiescence_step is None and _settled(codes, k, table):
-        # The budget ran out between checks; record the late detection.
-        quiescence_step = total
 
     decoded: dict[int, AgentState] = {}
     final = Configuration(k, tuple(_decode(c, k, decoded) for c in codes))

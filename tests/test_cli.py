@@ -200,6 +200,17 @@ class TestRunCommand:
                                  "--scheduler", "adversary", arg)
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
+    def test_adversary_needs_two_agents(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--colors", "0",
+                                 "--scheduler", "adversary")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("error: --scheduler adversary needs at least two "
+                       "agents, got n=1\n")
+        code, _, err = run_cli(capsys, "run", "--colors", "0", "--scheduler",
+                               "adversary", "--adversary-exclude", "0,1")
+        assert (code, err) == (EXIT_USAGE, "error: --adversary-exclude needs "
+                               "two distinct agents below n=1, got 0,1\n")
+
     def test_fixed_steps_policy(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--colors", "0,1,1",
                                "--fixed-steps", "9")

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle_reference import (full_violation, potential_less,
@@ -18,7 +18,8 @@ from pluralitysim.engine import (Configuration, FixedSteps,
 from pluralitysim.oracle import predicted_stable_multiset
 from pluralitysim.protocol import (AgentState, InteractionResult, _interact,
                                    all_states, apply_interaction)
-from pluralitysim.schedulers import RoundRobin, StarvationAdversary, make_scheduler
+from pluralitysim.schedulers import (RoundRobin, StarvationAdversary,
+                                     make_scheduler, pair_count)
 
 
 @st.composite
@@ -322,6 +323,81 @@ class TestRun:
             else:
                 assert after == before
         assert current.states == final.states
+
+
+class TestQuiescenceCheckPoints:
+    @given(instances(),
+           st.sampled_from(["roundrobin", "random", "release-0",
+                            "release-round", "starved"]),
+           st.integers(0, 2**32), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_first_quiescent_check_point_of_the_replayed_trace(
+            self, case, kind, seed, data):
+        # Checks run at 0, R, 2R, ... and at the budget, where R is one
+        # round; quiescence_step is the first at which the reference
+        # finds the replayed population quiescent.
+        k, colors = case
+        n = len(colors)
+        round_length = max(pair_count(n), 1)
+        releases = {"release-0": 0, "release-round": round_length,
+                    "starved": 2**62}
+        if kind in releases:
+            assume(n >= 3)
+            scheduler = StarvationAdversary(n, (0, 1), releases[kind])
+        else:
+            scheduler = make_scheduler(kind, n, seed=seed)
+        if data.draw(st.booleans(), label="until quiescent"):
+            cap = data.draw(st.sampled_from([0, 1, 3]), label="cap")
+            policy, budget = UntilQuiescent(cap), cap * round_length
+        else:
+            rounds = data.draw(st.integers(0, 3), label="rounds")
+            extra = data.draw(st.integers(0, round_length - 1), label="extra")
+            budget = rounds * round_length + extra
+            policy = FixedSteps(budget)
+        if n == 1:
+            budget = 0
+        config = init_configuration(colors, k)
+        final, trace, metrics = run(config, scheduler, policy,
+                                    assertions="full", trace="full")
+
+        total = metrics.total_interactions
+        if total:
+            firsts, seconds = scheduler.pairs(0, total)
+            assert [(event.step, event.pair) for event in trace.events] == list(
+                enumerate(zip(firsts.tolist(), seconds.tolist())))
+        checks = {*range(0, budget + 1, round_length), budget}
+        expected = None
+        current = config
+        for event in [*trace.events, None]:
+            at = total if event is None else event.step
+            if expected is None and at in checks and quiescent_by_pairs(current):
+                expected = at
+            if event is not None:
+                i, j = event.pair
+                assert (current.states[i], current.states[j]) == event.pre
+                current, _ = step(current, event.pair)
+        assert current.states == final.states
+        assert metrics.quiescence_step == expected
+        stops_early = isinstance(policy, UntilQuiescent) and expected is not None
+        assert total == (expected if stops_early else budget)
+
+
+class TestQuiescenceScans:
+    @pytest.mark.parametrize("scheduler, policy, scans", [
+        # a starved run scans at steps 0, 3, ..., 15 and hits its cap
+        (StarvationAdversary(3, (0, 1), 2**62), UntilQuiescent(5), 6),
+        (RoundRobin(3), FixedSteps(0), 1),
+        # a converged run scans at step 0 and at 3, where it settles
+        (RoundRobin(3), UntilQuiescent(), 2),
+    ], ids=["starved-cap", "zero-budget", "converged"])
+    def test_each_check_point_is_scanned_once(self, monkeypatch, scheduler,
+                                              policy, scans):
+        calls = []
+        settled = engine._settled
+        monkeypatch.setattr(engine, "_settled",
+                            lambda *args: calls.append(args) or settled(*args))
+        run(init_configuration([0, 1, 1], 2), scheduler, policy)
+        assert len(calls) == scans
 
 
 class TestTransitionTable:
