@@ -291,6 +291,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise UsageError(f"--scheduler adversary needs at least two agents, "
                          f"got n={n}")
     _check_flag("--adversary-release", args.adversary_release)
+    if args.scheduler == "adversary" and n == 2 and args.adversary_release != 0:
+        # Two agents have one pair: the adversary has nothing to offer
+        # before it releases that pair.
+        raise UsageError("--scheduler adversary with n=2 starves the only "
+                         "pair; it needs --adversary-release 0")
     _check_flag("--fixed-steps", args.fixed_steps)
     _check_flag("--cap", args.cap)
     scheduler = make_scheduler(

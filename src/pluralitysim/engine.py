@@ -8,7 +8,9 @@ transition table keyed on the two agents' bra-ket pairs (at most k**4
 entries). An entry holds the two new bra-kets, whether the kets were
 exchanged and the color a post-swap self-loop broadcasts (or -1), so the
 out fields follow in a few integer operations. There is one table per
-process for each k and interaction rule.
+process for each k and interaction rule. A code is decoded into an
+AgentState once per process for each k: states are immutable, so every
+run, trace and error that decodes that code shares the one object.
 
 Two runtime invariants hold for every transition of the rule: the global
 bra-ket balance (safety) and the strict lexicographic drop of the sorted
@@ -103,10 +105,10 @@ class RunTrace:
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """The records as TraceEvents, decoded on each access."""
-        decoded: dict[int, AgentState] = {}
-        state = lambda code: _decode(code, self.k, decoded)
-        return tuple(TraceEvent(step, (i, j), (state(a), state(b)),
-                                (state(new_a), state(new_b)), exchanged, out_changed)
+        k = self.k
+        return tuple(TraceEvent(step, (i, j), (_state(a, k), _state(b, k)),
+                                (_state(new_a, k), _state(new_b, k)),
+                                exchanged, out_changed)
                      for step, i, j, a, b, new_a, new_b, exchanged, out_changed
                      in self.records)
 
@@ -247,6 +249,9 @@ BATCH = 4096  # most scheduler pairs fetched and applied at a time
 # another's entries.
 _TABLES: dict[tuple, dict[int, tuple[int, int, bool, int]]] = {}
 
+# k -> {code: its AgentState}, filled by _state; at most k**3 entries per k.
+_STATES: dict[int, dict[int, AgentState]] = {}
+
 
 def _table(k: int) -> dict[int, tuple[int, int, bool, int]]:
     """The checked transition table of this k, for the current rule."""
@@ -283,16 +288,15 @@ def _encode(state: AgentState, k: int) -> int:
 
 
 def _state(code: int, k: int) -> AgentState:
-    bra_ket, out = divmod(code, k)
-    return AgentState(bra_ket // k, bra_ket % k, out)
-
-
-def _decode(code: int, k: int, decoded: dict[int, AgentState]) -> AgentState:
-    # One shared AgentState per code for a whole run or trace.
-    state = decoded.get(code)
-    if state is None:
-        state = decoded[code] = _state(code, k)
-    return state
+    """The AgentState of a code, one shared object per code and k."""
+    try:
+        return _STATES[k][code]
+    except KeyError:
+        code = int(code)
+        bra_ket, out = divmod(code, k)
+        state = AgentState(bra_ket // k, bra_ket % k, out)
+        _STATES.setdefault(k, {})[code] = state
+        return state
 
 
 def _checked(key: int, k: int,
@@ -471,14 +475,13 @@ def run(config: Configuration, scheduler: Scheduler,
         exchanges += batch_exchanges
         out_updates += batch_out_updates
 
-    decoded: dict[int, AgentState] = {}
-    final = Configuration(k, tuple(_decode(c, k, decoded) for c in codes))
+    final = Configuration(k, tuple([_state(code, k) for code in codes]))
     metrics = RunMetrics(
         total_interactions=total,
         ket_exchanges=exchanges,
         out_updates=out_updates,
         quiescence_step=quiescence_step,
         converged=quiescence_step is not None,
-        final_outputs=final.output_counts(),
+        final_outputs=Counter([code % k for code in codes]),
     )
     return RunResult(final, RunTrace(trace, tuple(records), k), metrics)

@@ -43,24 +43,27 @@ def circle_braket_set(colors) -> BraKetMultiset:
     (g0, g1), (g1, g2), ..., (gm, g0); a singleton {c} wraps to the
     self-loop (c, c).
     """
-    ordered = sorted(set(colors))
-    if not ordered:
+    colors = set(colors)
+    if not colors:
         raise ValueError("color set must not be empty")
-    m = len(ordered)
-    return Counter((ordered[i], ordered[(i + 1) % m]) for i in range(m))
+    return Counter(_circle_arcs(colors))
+
+
+def _circle_arcs(colors: frozenset[int] | set[int]):
+    # The arcs (g0, g1), ..., (gm, g0) of a non-empty duplicate-free set.
+    ordered = sorted(colors)
+    return zip(ordered, ordered[1:] + ordered[:1])
 
 
 def predicted_stable_multiset(input_colors) -> BraKetMultiset:
     """The bra-ket multiset every quiescent run must reach.
 
-    Multiset union of the circle bra-ket sets of all greedy layers. Its
-    size equals the population size and it balances bras against kets by
-    construction.
+    Multiset union of the circle bra-ket sets of all greedy layers,
+    counted in one pass over the arcs of every layer. Its size equals the
+    population size and it balances bras against kets by construction.
     """
-    prediction: BraKetMultiset = Counter()
-    for layer in greedy_partition(input_colors):
-        prediction += circle_braket_set(layer)
-    return prediction
+    return Counter(arc for layer in greedy_partition(input_colors)
+                   for arc in _circle_arcs(layer))
 
 
 def brute_majority(input_colors) -> tuple[int, bool]:

@@ -39,6 +39,9 @@ class InteractionResult(NamedTuple):
 def _integer(value) -> int | None:
     # Any integer type, numpy's included, as a plain int; None for
     # anything else. bool is an int subclass but never a color or a k.
+    # An exact int, the common case, is returned before the slower tests.
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         return None
     try:

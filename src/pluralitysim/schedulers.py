@@ -18,6 +18,8 @@ Every scheduler turns pair ranks into pairs through one function. A
 population with at most 4096 pairs (n <= 91) reads them from a table of
 all its pairs, built on first use and kept for the process; larger
 populations compute them in closed form, which is exact up to n = 3*10**9.
+A round-robin span that stays inside one round of a tabled population
+is copied from a slice of that table instead.
 """
 
 from __future__ import annotations
@@ -87,14 +89,19 @@ def _pairs_from_indices(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     _TABLE_PAIRS pairs, else computed in closed form. The arrays are new
     either way, never views of a table.
     """
-    total = pair_count(n)
-    if total > _TABLE_PAIRS:
+    if pair_count(n) > _TABLE_PAIRS:
         return _closed_form(index, n)
+    firsts, seconds = _pair_table(n)
+    return firsts[index], seconds[index]
+
+
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs of a tabled population, built on first use."""
     table = _PAIR_TABLES.get(n)
     if table is None:
-        table = _PAIR_TABLES[n] = _closed_form(np.arange(total, dtype=np.int64), n)
-    firsts, seconds = table
-    return firsts[index], seconds[index]
+        table = _PAIR_TABLES[n] = _closed_form(
+            np.arange(pair_count(n), dtype=np.int64), n)
+    return table
 
 
 def _closed_form(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,6 +146,12 @@ class RoundRobin(_Schedule):
     def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
         start, count, total = _check_span(start, count, self.n)
+        offset = start % total
+        if total <= _TABLE_PAIRS and offset + count <= total:
+            # A span inside one round is a copied slice of the pair table.
+            firsts, seconds = _pair_table(self.n)
+            span = slice(offset, offset + count)
+            return firsts[span].copy(), seconds[span].copy()
         return _pairs_from_indices(_cycle(start, count, total), self.n)
 
 

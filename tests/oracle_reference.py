@@ -5,8 +5,9 @@ layer partition is computed by draining, stability of a bra-ket multiset
 by checking all pairs directly, bra-ket balance by tallying bras against
 kets, the set of quiescent outcomes by exhaustive search over every
 schedule, the reachable agent states by the same search over decoded
-states, a single interaction step through the validated public rule
-instead of the engine's transition table, the runtime invariants and
+states, the predicted stable multiset as a sum of per-layer Counters, a
+single interaction step through the validated public rule instead of
+the engine's transition table, the runtime invariants and
 the sorted weight vector on decoded states instead of on table entries,
 and the least rotation of a color multiset by sorting every rotation
 instead of comparing count vectors.
@@ -132,6 +133,19 @@ def greedy_drain(input_colors):
         layers.append(layer)
         remaining -= Counter(layer)
     return layers
+
+
+def stable_multiset_by_layers(input_colors):
+    """The predicted stable bra-ket multiset as a sum of one Counter per
+    drained layer, each the arcs of that layer's colors in sorted order
+    around the circle."""
+    prediction = Counter()
+    for layer in greedy_drain(input_colors):
+        ordered = sorted(layer)
+        m = len(ordered)
+        prediction += Counter(
+            (ordered[i], ordered[(i + 1) % m]) for i in range(m))
+    return prediction
 
 
 def is_exchange_stable(brakets, k):

@@ -211,6 +211,26 @@ class TestRunCommand:
         assert (code, err) == (EXIT_USAGE, "error: --adversary-exclude needs "
                                "two distinct agents below n=1, got 0,1\n")
 
+    @pytest.mark.parametrize("extra", [
+        (), ("--adversary-release", "3"), ("--fixed-steps", "0"),
+        ("--adversary-exclude", "1,0"),
+    ], ids=["never-released", "released-later", "zero-budget", "exclude"])
+    @pytest.mark.parametrize("colors", ["0,1", "0,0"])
+    def test_adversary_with_two_agents_needs_release_zero(self, capsys, colors,
+                                                          extra):
+        code, out, err = run_cli(capsys, "run", "--colors", colors,
+                                 "--scheduler", "adversary", *extra)
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: --scheduler adversary with n=2 starves "
+            "the only pair; it needs --adversary-release 0\n")
+
+    def test_adversary_with_two_agents_runs_when_released_at_once(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--colors", "0,1",
+                               "--scheduler", "adversary",
+                               "--adversary-release", "0")
+        assert code == EXIT_OK
+        assert metrics_of(out)["converged"] is True
+
     def test_fixed_steps_policy(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--colors", "0,1,1",
                                "--fixed-steps", "9")

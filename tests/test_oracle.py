@@ -2,14 +2,17 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_reference import (braket_balanced, exhaustive_quiescent_outcomes,
-                              greedy_drain, is_exchange_stable, potential_less)
+                              greedy_drain, is_exchange_stable, potential_less,
+                              stable_multiset_by_layers)
 from pluralitysim.oracle import (brute_majority, circle_braket_set,
                                  greedy_partition, predicted_stable_multiset)
+from pluralitysim.verify import enumerate_instances
 
 
 @st.composite
@@ -77,6 +80,23 @@ class TestPredictedStableMultiset:
     def test_tie_example(self):
         assert predicted_stable_multiset([0, 1]) == Counter(
             {(0, 1): 1, (1, 0): 1})
+
+    def test_equals_the_per_layer_sum_on_every_small_multiset(self):
+        instances = 0
+        for k, colors in enumerate_instances(8, 5, up_to_symmetry=False):
+            assert predicted_stable_multiset(colors) == (
+                stable_multiset_by_layers(colors)), (k, colors)
+            instances += 1
+        assert instances == 1996
+
+    @given(color_multisets(), st.data())
+    def test_equals_the_per_layer_sum_on_unsorted_mixed_integer_lists(
+            self, case, data):
+        _, colors = case
+        types = st.sampled_from([int, np.int64, np.int32, np.uint8])
+        colors = [data.draw(types)(c) for c in colors]
+        assert predicted_stable_multiset(colors) == (
+            stable_multiset_by_layers(colors))
 
     @given(color_multisets())
     def test_size_balance_and_marginals(self, case):

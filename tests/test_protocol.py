@@ -1,10 +1,14 @@
 """Unit tests for agent states and the pairwise interaction rule."""
 
+from enum import IntEnum
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pluralitysim.protocol import (AgentState, all_states, apply_interaction,
+from pluralitysim.protocol import (AgentState, _count, all_states,
+                                   apply_interaction, check_color, check_k,
                                    init_agent, weight)
 
 
@@ -48,6 +52,25 @@ class TestWeight:
             weight(2, 0, 2)
         with pytest.raises(ValueError):
             weight(0, -1, 3)
+
+
+class TestIntegerChecks:
+    def test_other_integer_types_become_exact_ints(self):
+        class Color(IntEnum):
+            TWO = 2
+
+        for value in (Color.TWO, np.int64(2)):
+            for checked in (check_color(value, 3), check_k(value),
+                            _count(value, "step index")):
+                assert checked == 2 and type(checked) is int
+
+    def test_true_is_rejected(self):
+        with pytest.raises(ValueError, match="color True is not an integer"):
+            check_color(True, 2)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            check_k(True)
+        with pytest.raises(ValueError, match="step index must be"):
+            _count(True, "step index")
 
 
 class TestInitAgent:

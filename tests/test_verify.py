@@ -93,6 +93,8 @@ class TestCheckedRun:
         failure = checked_run([0, 1, 1], 2)
         assert failure is not None
         assert failure.check == "stable-multiset"
+        assert failure.detail == ("reached [(0, 1), (1, 0), (1, 1)], "
+                                  "predicted []")
 
     def test_flags_wrong_outputs(self, monkeypatch):
         monkeypatch.setattr("pluralitysim.verify.brute_majority",
@@ -100,7 +102,7 @@ class TestCheckedRun:
         failure = checked_run([0, 1, 1], 2)
         assert failure is not None
         assert failure.check == "output"
-        assert "winner 0" in failure.detail
+        assert failure.detail == "winner 0 but outputs {1: 3}"
 
 
 class TestVerifyBattery:
