@@ -16,8 +16,8 @@ from .engine import (Configuration, FixedSteps, InvariantViolation,
                      UntilQuiescent, init_configuration, is_quiescent, run)
 from .oracle import (brute_majority, circle_braket_set, greedy_partition,
                      predicted_stable_multiset)
-from .protocol import (AgentState, InteractionResult, all_states,
-                       apply_interaction, init_agent, weight)
+from .protocol import (AgentState, InteractionResult, apply_interaction,
+                       init_agent, weight)
 from .schedulers import (AgentPair, RoundRobin, Scheduler,
                          StarvationAdversary, UniformRandom, canonical_pair,
                          fairness_audit, make_scheduler, pair_count,
@@ -33,7 +33,7 @@ __all__ = [
     "InstanceFailure", "InteractionResult", "InvariantViolation",
     "RoundRobin", "RunMetrics", "RunResult", "RunTrace", "Scheduler",
     "StarvationAdversary", "StopPolicy", "TraceEvent", "UniformRandom",
-    "UntilQuiescent", "VerifyReport", "all_states", "apply_interaction",
+    "UntilQuiescent", "VerifyReport", "apply_interaction",
     "brute_majority", "canonical_pair", "checked_run", "circle_braket_set",
     "enumerate_instances", "fairness_audit", "greedy_partition",
     "init_agent", "init_configuration", "is_quiescent", "make_scheduler",

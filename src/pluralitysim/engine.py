@@ -1,16 +1,16 @@
 """Population runs: drive a configuration through scheduled interactions.
 
-A Configuration is the ordered population of agent states. run() applies
-scheduler pairs in order until quiescence or a cap, collecting metrics and
-an optional trace. Inside a run each agent is one integer code
-s = (bra*k + ket)*k + out, and each interaction is a lookup in a
+A Configuration is the ordered population of agents, each one integer
+code s = (bra*k + ket)*k + out in [0, k**3). run() applies scheduler
+pairs in order to those codes until quiescence or a cap, collecting
+metrics and an optional trace. Each interaction is a lookup in a
 transition table keyed on the two agents' bra-ket pairs (at most k**4
 entries). An entry holds the two new bra-kets, whether the kets were
 exchanged and the color a post-swap self-loop broadcasts (or -1), so the
 out fields follow in a few integer operations. There is one table per
-process for each k and interaction rule. A code is decoded into an
-AgentState once per process for each k: states are immutable, so every
-run, trace and error that decodes that code shares the one object.
+process for each k and interaction rule. AgentStates exist only where a
+code is shown: each code is decoded once per process for each k, and
+every view, trace and error that shows it shares the one object.
 
 Two runtime invariants hold for every transition of the rule: the global
 bra-ket balance (safety) and the strict lexicographic drop of the sorted
@@ -30,44 +30,59 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .protocol import (AgentState, _count, _interact, _weight, check_color,
-                       check_k, validate_state)
+from .protocol import (AgentState, _count, _integer, _interact, _weight,
+                       check_color, check_k)
 from .schedulers import AgentPair, Scheduler, pair_count
+
+
+def _check_code(value, k: int) -> int:
+    # A state code in [0, k**3) as a plain int, by the rule colors follow.
+    code = _integer(value)
+    if code is None or not 0 <= code < k**3:
+        raise ValueError(f"code {value!r} is not an integer in [0, {k**3 - 1}]")
+    return code
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """The population at an instant: k plus one state per agent.
+    """The population at an instant: k plus one state code per agent.
 
-    Construction validates every color against k but not the bra-ket
-    balance; balance is a property of reachable populations (initial
+    codes[i] = (bra*k + ket)*k + out, the layout of run traces. Construction
+    checks k and every code and stores them as plain ints, but not the
+    bra-ket balance: that is a property of reachable populations (initial
     states are self-loops and interactions only permute kets), enforced
-    during runs, not a precondition of the type. Agents that share one
-    state object are validated once, in order of first appearance. The
-    views are the two multisets the checks read: bra-ket pairs and outs.
+    during runs. states decodes the codes; the other views are the two
+    multisets the checks read: bra-ket pairs and outs.
     """
 
     k: int
-    states: tuple[AgentState, ...]
+    codes: tuple[int, ...]
 
     def __post_init__(self):
-        check_k(self.k)
-        if not self.states:
+        k = check_k(self.k)
+        codes = tuple([_check_code(code, k) for code in self.codes])
+        if not codes:
             raise ValueError("a population needs at least one agent")
-        for state in {id(state): state for state in self.states}.values():
-            validate_state(state, self.k)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n(self) -> int:
-        return len(self.states)
+        return len(self.codes)
+
+    @property
+    def states(self) -> tuple[AgentState, ...]:
+        """The agents' decoded states, one shared object per code."""
+        k = self.k
+        return tuple([_state(code, k) for code in self.codes])
 
     def braket_counts(self) -> Counter:
         """Multiset view of (bra, ket) pairs, outs ignored."""
-        return Counter((s.bra, s.ket) for s in self.states)
+        return Counter([divmod(code // self.k, self.k) for code in self.codes])
 
     def output_counts(self) -> Counter:
         """Multiset view of the out fields."""
-        return Counter(s.out for s in self.states)
+        return Counter([code % self.k for code in self.codes])
 
 
 class TraceEvent(NamedTuple):
@@ -99,8 +114,8 @@ class RunTrace:
     k: int = 1
 
     def state(self, code: int) -> AgentState:
-        """The agent state a record's code stands for."""
-        return _state(code, self.k)
+        """The agent state a record's code stands for; rejects non-codes."""
+        return _state(_check_code(code, self.k), self.k)
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
@@ -184,20 +199,11 @@ class InvariantViolation(AssertionError):
 
 
 def init_configuration(input_colors, k: int) -> Configuration:
-    """Population of fresh agents: each input color becomes a self-loop.
-
-    Agents of one color share one state object.
-    """
+    """Population of fresh agents: each input color becomes a self-loop."""
     k = check_k(k)
-    fresh: dict[int, AgentState] = {}
-    states = []
-    for value in input_colors:
-        color = check_color(value, k)
-        state = fresh.get(color)
-        if state is None:
-            state = fresh[color] = AgentState(color, color, color)
-        states.append(state)
-    return Configuration(k, tuple(states))
+    loop = k * k + k + 1    # code of the self-loop of color c is c * loop
+    return Configuration(k, tuple([check_color(value, k) * loop
+                                   for value in input_colors]))
 
 
 # Both checks read a transition through bra-ket indices bra*k + ket: g
@@ -283,16 +289,11 @@ def _post(entry: tuple[int, int, bool, int], a: int, b: int,
     return new_a + loop, new_b + loop, a % k != loop or b % k != loop
 
 
-def _encode(state: AgentState, k: int) -> int:
-    return int((state.bra * k + state.ket) * k + state.out)
-
-
 def _state(code: int, k: int) -> AgentState:
-    """The AgentState of a code, one shared object per code and k."""
+    """The AgentState of an unchecked code, one shared object per code and k."""
     try:
         return _STATES[k][code]
     except KeyError:
-        code = int(code)
         bra_ket, out = divmod(code, k)
         state = AgentState(bra_ket // k, bra_ket % k, out)
         _STATES.setdefault(k, {})[code] = state
@@ -355,8 +356,7 @@ def is_quiescent(config: Configuration) -> bool:
     state present at least twice against itself. A population of one
     agent is quiescent by definition.
     """
-    k = check_k(config.k)
-    return _settled([_encode(s, k) for s in config.states], k, _table(k))
+    return _settled(config.codes, config.k, _table(config.k))
 
 
 def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
@@ -434,7 +434,7 @@ def run(config: Configuration, scheduler: Scheduler,
     if policy is None:
         policy = UntilQuiescent()
 
-    n, k = config.n, check_k(config.k)
+    n, k = config.n, config.k
     if scheduler.n != n:
         raise ValueError(f"scheduler is for n={scheduler.n} agents, "
                          f"the configuration has {n}")
@@ -453,7 +453,7 @@ def run(config: Configuration, scheduler: Scheduler,
         limit = 0
 
     table = _table(k)
-    codes = [_encode(s, k) for s in config.states]
+    codes = list(config.codes)
     records: list[tuple[int, ...]] = []
     total = exchanges = out_updates = 0
     quiescence_step = None
@@ -475,7 +475,7 @@ def run(config: Configuration, scheduler: Scheduler,
         exchanges += batch_exchanges
         out_updates += batch_out_updates
 
-    final = Configuration(k, tuple([_state(code, k) for code in codes]))
+    final = Configuration(k, tuple(codes))
     metrics = RunMetrics(
         total_interactions=total,
         ket_exchanges=exchanges,

@@ -15,7 +15,6 @@ and sequencing live in the engine module.
 from __future__ import annotations
 
 import operator
-from itertools import product
 from typing import NamedTuple
 
 
@@ -146,9 +145,3 @@ def apply_interaction(a: AgentState, b: AgentState, k: int) -> InteractionResult
     validate_state(b, k)
     return _interact(a, b, k)
 
-
-def all_states(k: int) -> list[AgentState]:
-    """The full state space for a given k: all k**3 (bra, ket, out) triples."""
-    check_k(k)
-    colors = range(k)
-    return [AgentState(b, t, o) for b, t, o in product(colors, colors, colors)]

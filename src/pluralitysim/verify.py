@@ -17,8 +17,8 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .engine import (InvariantViolation, UntilQuiescent, _apply, _encode, _state,
-                     _table, init_configuration, run)
+from .engine import (InvariantViolation, UntilQuiescent, _apply, _state, _table,
+                     init_configuration, run)
 from .oracle import brute_majority, predicted_stable_multiset
 from .protocol import AgentState
 from .schedulers import RoundRobin
@@ -172,7 +172,7 @@ def reachable_state_set(input_colors, k: int) -> set[AgentState]:
     config = init_configuration(input_colors, k)
     k = config.k
     table = _table(k)
-    start = tuple(sorted(_encode(state, k) for state in config.states))
+    start = tuple(sorted(config.codes))
     seen = {start}
     frontier = [start]
     while frontier:

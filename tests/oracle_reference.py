@@ -10,14 +10,33 @@ single interaction step through the validated public rule instead of
 the engine's transition table, the runtime invariants and
 the sorted weight vector on decoded states instead of on table entries,
 and the least rotation of a color multiset by sorting every rotation
-instead of comparing count vectors.
+instead of comparing count vectors. all_states lists the k**3 states as
+triples, and configuration builds a population from AgentStates by
+encoding each one by hand.
 Tests compare the fast library code against these.
 """
 
 from collections import Counter
+from itertools import product
 
 from pluralitysim.engine import Configuration, TraceEvent
-from pluralitysim.protocol import AgentState, apply_interaction, weight
+from pluralitysim.protocol import (AgentState, apply_interaction, check_k,
+                                   validate_state, weight)
+
+
+def all_states(k):
+    """The full state space for a given k: all k**3 (bra, ket, out) triples."""
+    check_k(k)
+    colors = range(k)
+    return [AgentState(b, t, o) for b, t, o in product(colors, colors, colors)]
+
+
+def configuration(k, states):
+    """The Configuration of these AgentStates, each checked against k and
+    encoded as (bra*k + ket)*k + out."""
+    states = [validate_state(s, k) for s in states]
+    return Configuration(k, tuple((s.bra * k + s.ket) * k + s.out
+                                  for s in states))
 
 
 def potential_less(weights_a, weights_b) -> bool:
@@ -78,7 +97,7 @@ def step(config, pair):
         return config, event
     states = list(config.states)
     states[i], states[j] = result.a, result.b
-    return Configuration(config.k, tuple(states)), event
+    return configuration(config.k, states), event
 
 
 def safety_violation(event):

@@ -14,10 +14,9 @@ import time
 
 import numpy as np
 
-from oracle_reference import braket_balanced, greedy_drain
+from oracle_reference import all_states, braket_balanced, greedy_drain
 from pluralitysim.engine import UntilQuiescent, init_configuration, run
 from pluralitysim.oracle import brute_majority, greedy_partition
-from pluralitysim.protocol import all_states
 from pluralitysim.schedulers import StarvationAdversary, pair_from_index
 from pluralitysim.verify import (enumerate_instances, random_instance,
                                  reachable_state_set, verify_battery)

@@ -16,7 +16,9 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_and_narrates(script):
-    result = subprocess.run([sys.executable, str(script)],
+    # the demos run in dev mode with warnings as errors, like the suite
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
+                             str(script)],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert len(result.stdout.splitlines()) > 5

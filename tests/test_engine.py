@@ -1,5 +1,6 @@
 """Unit tests for configurations, quiescence detection, and run()."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import (full_violation, potential_less,
-                              quiescent_by_pairs, safety_violation,
-                              sorted_weights, step)
+from oracle_reference import (all_states, configuration, full_violation,
+                              potential_less, quiescent_by_pairs,
+                              safety_violation, sorted_weights, step)
 from pluralitysim import engine, protocol
 from pluralitysim.engine import (Configuration, FixedSteps,
                                  InvariantViolation, RunTrace, TraceEvent,
@@ -17,7 +18,7 @@ from pluralitysim.engine import (Configuration, FixedSteps,
                                  init_configuration, is_quiescent, run)
 from pluralitysim.oracle import predicted_stable_multiset
 from pluralitysim.protocol import (AgentState, InteractionResult, _interact,
-                                   all_states, apply_interaction)
+                                   apply_interaction)
 from pluralitysim.schedulers import (RoundRobin, StarvationAdversary,
                                      make_scheduler, pair_count)
 
@@ -31,8 +32,9 @@ def instances(draw, k_max=4, n_max=8):
 
 class TestConfiguration:
     def test_views(self):
-        config = Configuration(2, (AgentState(0, 1, 0), AgentState(1, 0, 1),
+        config = configuration(2, (AgentState(0, 1, 0), AgentState(1, 0, 1),
                                    AgentState(1, 1, 1)))
+        assert config.codes == (2, 5, 7)
         assert config.n == 3
         assert config.braket_counts() == Counter(
             {(0, 1): 1, (1, 0): 1, (1, 1): 1})
@@ -41,8 +43,14 @@ class TestConfiguration:
         assert sorted_weights(config) == (1, 1, 2)
 
     def test_rejects_colors_outside_k(self):
-        with pytest.raises(ValueError):
-            Configuration(2, (AgentState(0, 2, 0),))
+        # at k = 2 the codes are 0 .. 7; a color outside k leaves that range
+        config = Configuration(2, (np.int64(0), np.uint8(7), 5))
+        assert config.codes == (0, 7, 5)
+        assert all(type(code) is int for code in config.codes)
+        for code in (-1, 8, np.int64(8), 2**64):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"code {code!r} is not an integer in [0, 7]")):
+                Configuration(2, (0, code))
 
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
@@ -50,6 +58,7 @@ class TestConfiguration:
 
     def test_init_configuration_builds_self_loops(self):
         config = init_configuration([2, 0], 3)
+        assert config.codes == (26, 0)
         assert config.states == (AgentState(2, 2, 2), AgentState(0, 0, 0))
         with pytest.raises(ValueError):
             init_configuration([], 3)
@@ -71,18 +80,16 @@ class TestConfiguration:
         assert metrics.converged
 
     def test_errors_name_the_first_invalid_agent(self):
-        bad = AgentState(0, 5, 0)
         cases = [
-            ((AgentState(0, 0, 0), bad, AgentState(0, 7, 0), bad),
-             r"color 5 outside \[0, 1\]"),
-            ((AgentState(1, 1, 1), AgentState(0, [1], 0), bad),
-             r"color \[1\] is not an integer"),
-            ((AgentState(1, 1, 1), AgentState(1.0, 1, 1)),
-             "color 1.0 is not an integer"),
+            ((0, 9, -3, 9), r"code 9 is not an integer in \[0, 7\]"),
+            ((7, [1], 9), r"code \[1\] is not an integer"),
+            ((7, 1.0), "code 1.0 is not an integer"),
+            ((7, True, 9), "code True is not an integer"),
+            ((7, AgentState(1, 1, 1)), r"code AgentState\(bra=1, ket=1, out=1\) "),
         ]
-        for states, message in cases:
+        for codes, message in cases:
             with pytest.raises(ValueError, match=message):
-                Configuration(2, states)
+                Configuration(2, codes)
 
     def test_each_agent_is_validated_less_than_twice(self, monkeypatch):
         calls = []
@@ -111,7 +118,7 @@ class TestStep:
         assert event.pre == config.states and event.post == after.states
 
     def test_noop_returns_the_same_object(self):
-        config = Configuration(2, (AgentState(0, 1, 1), AgentState(1, 0, 1)))
+        config = configuration(2, (AgentState(0, 1, 1), AgentState(1, 0, 1)))
         after, event = step(config, (0, 1))
         assert after is config
         assert not event.exchanged and not event.out_changed
@@ -129,19 +136,19 @@ class TestIsQuiescent:
         assert is_quiescent(init_configuration([2, 2, 2], 3))
 
     def test_distinct_self_loops_would_swap(self):
-        config = Configuration(4, (AgentState(1, 1, 1), AgentState(3, 3, 3)))
+        config = configuration(4, (AgentState(1, 1, 1), AgentState(3, 3, 3)))
         assert not is_quiescent(config)
 
     def test_pending_broadcast_blocks_quiescence(self):
-        config = Configuration(2, (AgentState(0, 1, 0), AgentState(1, 0, 1),
+        config = configuration(2, (AgentState(0, 1, 0), AgentState(1, 0, 1),
                                    AgentState(1, 1, 1)))
         assert not is_quiescent(config)
 
     def test_duplicate_state_interacts_with_itself(self):
         # two copies of the same self-loop still broadcast to their outs
-        config = Configuration(2, (AgentState(1, 1, 0), AgentState(1, 1, 0)))
+        config = configuration(2, (AgentState(1, 1, 0), AgentState(1, 1, 0)))
         assert not is_quiescent(config)
-        assert is_quiescent(Configuration(2, (AgentState(1, 1, 0),)))
+        assert is_quiescent(configuration(2, (AgentState(1, 1, 0),)))
 
     @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
         st.just(k), st.lists(st.tuples(*[st.integers(0, k - 1)] * 3),
@@ -149,7 +156,7 @@ class TestIsQuiescent:
     @settings(max_examples=300, deadline=None)
     def test_matches_a_check_of_every_agent_pair(self, case):
         k, triples = case
-        config = Configuration(k, tuple(AgentState(*t) for t in triples))
+        config = configuration(k, [AgentState(*t) for t in triples])
         assert is_quiescent(config) == quiescent_by_pairs(config)
 
     @given(instances())
@@ -214,6 +221,16 @@ class TestRun:
             assert state == AgentState(bra_ket // k, bra_ket % k, out)
             assert all(type(color) is int for color in state)
             assert trace.state(code) is state
+
+    def test_state_rejects_what_is_not_a_code(self, monkeypatch):
+        # nothing is decoded, so nothing is kept in the memo
+        monkeypatch.setattr(engine, "_STATES", {})
+        trace = RunTrace("off", (), 2)
+        for value in (-1, 8, 100, True):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"code {value!r} is not an integer in [0, 7]")):
+                trace.state(value)
+        assert engine._STATES == {}
 
     def test_single_agent_is_immediately_quiescent(self):
         final, _, metrics = run(init_configuration([0], 1), RoundRobin(1))
@@ -425,7 +442,7 @@ class TestTransitionTable:
         states = all_states(k)
         for a in states:
             for b in states:
-                final, trace, _ = run(Configuration(k, (a, b)), RoundRobin(2),
+                final, trace, _ = run(configuration(k, (a, b)), RoundRobin(2),
                                       FixedSteps(1), assertions="full",
                                       trace="full")
                 (event,) = trace.events
@@ -550,7 +567,7 @@ class TestTransitionTable:
         assert not is_quiescent(loops)
         # a settled triangle of k = 3 scans the keys of its three bra-kets
         # (0, 1), (1, 2) and (2, 0), that is 1, 5 and 6
-        triangle = Configuration(3, (AgentState(0, 1, 0), AgentState(1, 2, 0),
+        triangle = configuration(3, (AgentState(0, 1, 0), AgentState(1, 2, 0),
                                      AgentState(2, 0, 0)))
         assert is_quiescent(triangle)
         assert set(engine._TABLES[(2, rule)]) == {3}

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import least_sorted_rotation, reachable_states_by_search
+from oracle_reference import (all_states, least_sorted_rotation,
+                              reachable_states_by_search)
+from pluralitysim import engine, protocol, verify
 from pluralitysim.engine import InvariantViolation
-from pluralitysim.protocol import AgentState, InteractionResult, all_states
+from pluralitysim.protocol import AgentState, InteractionResult
 from pluralitysim.verify import (checked_run, enumerate_instances,
                                  random_instance, reachable_state_set,
                                  verify_battery)
@@ -119,6 +121,21 @@ class TestVerifyBattery:
         assert not report.ok
         assert report.failures[0].check == "termination"
         assert "1 FAILED" in report.summary()
+
+    def test_each_input_color_is_validated_exactly_once(self, monkeypatch):
+        calls = []
+        real = protocol.check_color
+
+        def counted(value, k):
+            calls.append(value)
+            return real(value, k)
+
+        for module in (protocol, engine, verify):
+            if hasattr(module, "check_color"):
+                monkeypatch.setattr(module, "check_color", counted)
+        instances = list(enumerate_instances(5, 3))
+        assert verify_battery(instances).ok
+        assert len(calls) == sum(len(colors) for _, colors in instances) == 125
 
 
 class TestReachableStateSet:
