@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .protocol import (AgentState, _count, _integer, _interact, _weight,
                        check_color, check_k)
-from .schedulers import AgentPair, Scheduler, pair_count
+from .schedulers import AgentPair, Scheduler
 
 
 def _check_code(value, k: int) -> int:
@@ -60,9 +60,13 @@ class Configuration:
 
     def __post_init__(self):
         k = check_k(self.k)
-        codes = tuple([_check_code(code, k) for code in self.codes])
-        if not codes:
-            raise ValueError("a population needs at least one agent")
+        codes = self.codes
+        # One pass over a tuple of plain ints; the loop names a bad code.
+        if not (type(codes) is tuple and codes and all([type(c) is int for c in codes])
+                and 0 <= min(codes) and max(codes) < k**3):
+            codes = tuple([_check_code(code, k) for code in codes])
+            if not codes:
+                raise ValueError("a population needs at least one agent")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "codes", codes)
 
@@ -387,8 +391,13 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
                 raise InvariantViolation(
                     reason, step, (i, j), (_state(a, k), _state(b, k)),
                     (_state(new_a, k), _state(new_b, k)))
-        # _post, inlined: this loop runs once per interaction
+        # _post, inlined: this loop runs once per interaction. A null step,
+        # most of them, leaves before any other out arithmetic.
         new_a, new_b, exchanged, loop = entry
+        if not exchanged and (loop < 0 or a % k == loop == b % k):
+            if record_nulls:
+                records.append((step, i, j, a, b, a, b, False, False))
+            continue
         if loop < 0:
             out_changed = False
             new_a += a % k
@@ -397,16 +406,13 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
             out_changed = a % k != loop or b % k != loop
             new_a += loop
             new_b += loop
-        if exchanged or out_changed:
-            codes[i] = new_a
-            codes[j] = new_b
-            exchanges += exchanged
-            out_updates += out_changed
-            if record_changes:
-                records.append((step, i, j, a, b, new_a, new_b, exchanged,
-                                out_changed))
-        elif record_nulls:
-            records.append((step, i, j, a, b, a, b, False, False))
+        codes[i] = new_a
+        codes[j] = new_b
+        exchanges += exchanged
+        out_updates += out_changed
+        if record_changes:
+            records.append((step, i, j, a, b, new_a, new_b, exchanged,
+                            out_changed))
     return exchanges, out_updates
 
 
@@ -438,7 +444,7 @@ def run(config: Configuration, scheduler: Scheduler,
     if scheduler.n != n:
         raise ValueError(f"scheduler is for n={scheduler.n} agents, "
                          f"the configuration has {n}")
-    round_length = max(pair_count(n), 1)
+    round_length = max(n * (n - 1) // 2, 1)
 
     stop_on_quiescence = isinstance(policy, UntilQuiescent)
     if stop_on_quiescence:
@@ -448,7 +454,7 @@ def run(config: Configuration, scheduler: Scheduler,
         limit = _count(cycles, "cap") * round_length
     else:
         limit = _count(policy.steps, "step budget")
-    if limit > 0 and pair_count(n) == 0:
+    if limit > 0 and n < 2:
         # A single agent has no pairs; any step budget collapses to zero.
         limit = 0
 

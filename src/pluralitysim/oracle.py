@@ -26,14 +26,17 @@ def greedy_partition(input_colors) -> tuple[frozenset[int], ...]:
     the layers restores the input. This closed form is equivalent to
     repeatedly draining one copy of every present color.
     """
-    counts = Counter(input_colors)
+    return tuple(frozenset(g for g, _ in arcs) for arcs in _layer_arcs(input_colors))
+
+
+def _counts(input_colors) -> dict:
+    # Multiplicity of every input color, in a dict: cheaper than a Counter.
+    counts: dict = {}
+    for c in input_colors:
+        counts[c] = counts.get(c, 0) + 1
     if not counts:
         raise ValueError("input color multiset must not be empty")
-    depth = max(counts.values())
-    return tuple(
-        frozenset(c for c, m in counts.items() if m >= p)
-        for p in range(1, depth + 1)
-    )
+    return counts
 
 
 def circle_braket_set(colors) -> BraKetMultiset:
@@ -43,27 +46,33 @@ def circle_braket_set(colors) -> BraKetMultiset:
     (g0, g1), (g1, g2), ..., (gm, g0); a singleton {c} wraps to the
     self-loop (c, c).
     """
-    colors = set(colors)
-    if not colors:
+    ordered = sorted(set(colors))
+    if not ordered:
         raise ValueError("color set must not be empty")
-    return Counter(_circle_arcs(colors))
+    return Counter(zip(ordered, ordered[1:] + ordered[:1]))
 
 
-def _circle_arcs(colors: frozenset[int] | set[int]):
-    # The arcs (g0, g1), ..., (gm, g0) of a non-empty duplicate-free set.
-    ordered = sorted(colors)
-    return zip(ordered, ordered[1:] + ordered[:1])
+def _layer_arcs(input_colors) -> list[list[tuple[int, int]]]:
+    # The circle arcs of every greedy layer, G_1's first, from one count of
+    # the inputs. A layer keeps the sorted colors of the one before that have
+    # copies left, so the deepest holds the most frequent colors, least first.
+    counts = _counts(input_colors)
+    layers, layer, p = [], sorted(counts), 1
+    while layer:
+        layers.append(list(zip(layer, layer[1:] + layer[:1])))
+        p += 1
+        layer = [c for c in layer if counts[c] >= p]
+    return layers
 
 
 def predicted_stable_multiset(input_colors) -> BraKetMultiset:
     """The bra-ket multiset every quiescent run must reach.
 
-    Multiset union of the circle bra-ket sets of all greedy layers,
-    counted in one pass over the arcs of every layer. Its size equals the
-    population size and it balances bras against kets by construction.
+    Multiset union of the circle bra-ket sets of all greedy layers. Its
+    size equals the population size and it balances bras against kets by
+    construction.
     """
-    return Counter(arc for layer in greedy_partition(input_colors)
-                   for arc in _circle_arcs(layer))
+    return Counter([arc for arcs in _layer_arcs(input_colors) for arc in arcs])
 
 
 def brute_majority(input_colors) -> tuple[int, bool]:
@@ -73,9 +82,7 @@ def brute_majority(input_colors) -> tuple[int, bool]:
     with maximal multiplicity, so the result is deterministic; unique is
     True iff that argmax is the only one.
     """
-    counts = Counter(input_colors)
-    if not counts:
-        raise ValueError("input color multiset must not be empty")
+    counts = _counts(input_colors)
     best = max(counts.values())
     winners = [c for c, m in counts.items() if m == best]
     return min(winners), len(winners) == 1

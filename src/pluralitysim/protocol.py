@@ -49,12 +49,13 @@ def _integer(value) -> int | None:
         return None
 
 
-def _count(value, what: str) -> int:
-    # A non-negative integer of any integer type as a plain int, by the
-    # rule colors follow; used for step indices, counts and budgets.
+def _count(value, what: str, least: int = 0) -> int:
+    # An integer of any integer type, at least least (0 or 1), as a plain
+    # int by the rule colors follow; used for k, indices, counts, budgets.
     number = _integer(value)
-    if number is None or number < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    if number is None or number < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
     return number
 
 
@@ -63,10 +64,7 @@ def check_k(k: int) -> int:
 
     Returns k as a plain int.
     """
-    value = _integer(k)
-    if value is None or value < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    return value
+    return _count(k, "k", 1)
 
 
 def check_color(value: int, k: int) -> int:

@@ -48,6 +48,7 @@ def canonical_pair(first: int, second: int) -> AgentPair:
 
 def pair_count(n: int) -> int:
     """Number of unordered pairs over n agents."""
+    n = _count(n, "n")
     return n * (n - 1) // 2
 
 
@@ -73,10 +74,11 @@ def pair_index(pair: AgentPair, n: int) -> int:
 
 def _check_span(start: int, count: int, n: int) -> tuple[int, int, int]:
     # Validates a pairs() request; returns start, count and the number of
-    # canonical pairs as plain ints.
-    start = _count(start, "step index")
-    count = _count(count, "pair count")
-    total = pair_count(n)
+    # canonical pairs as plain ints. Plain non-negative ints pass at once.
+    if not (type(start) is type(count) is int and start >= 0 and count >= 0):
+        start = _count(start, "step index")
+        count = _count(count, "pair count")
+    total = n * (n - 1) // 2
     if total == 0:
         raise ValueError(f"scheduler needs at least two agents, got n={n}")
     return start, count, total
@@ -89,7 +91,7 @@ def _pairs_from_indices(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     _TABLE_PAIRS pairs, else computed in closed form. The arrays are new
     either way, never views of a table.
     """
-    if pair_count(n) > _TABLE_PAIRS:
+    if n * (n - 1) // 2 > _TABLE_PAIRS:
         return _closed_form(index, n)
     firsts, seconds = _pair_table(n)
     return firsts[index], seconds[index]
@@ -252,7 +254,7 @@ def fairness_audit(schedule_prefix, n: int) -> dict[AgentPair, int]:
 
     Returns a dict keyed by all n*(n-1)/2 canonical pairs, zeros included.
     """
-    counts = {pair: 0 for pair in combinations(range(n), 2)}
+    counts = {pair: 0 for pair in combinations(range(_count(n, "n")), 2)}
     for raw in schedule_prefix:
         pair = canonical_pair(*raw)
         if pair not in counts:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .engine import (InvariantViolation, UntilQuiescent, _apply, _state, _table,
                      init_configuration, run)
-from .oracle import brute_majority, predicted_stable_multiset
-from .protocol import AgentState
+from .oracle import _layer_arcs, brute_majority
+from .protocol import AgentState, _count
 from .schedulers import RoundRobin
 
 
@@ -46,8 +46,10 @@ def enumerate_instances(n_max: int, k_max: int, up_to_symmetry: bool = True):
     properties, only the step-by-step schedule). With up_to_symmetry,
     rotation-equivalent multisets are yielded once: a multiset is yielded
     exactly when it is its orbit's least sorted rotation, that is when no
-    rotation of its count vector is greater.
+    rotation of its count vector is greater. Both bounds follow the rule
+    of counts, checked as iteration starts; a bound of 0 yields nothing.
     """
+    n_max, k_max = _count(n_max, "n_max"), _count(k_max, "k_max")
     for k in range(1, k_max + 1):
         colors = range(k)
         for n in range(1, n_max + 1):
@@ -64,6 +66,7 @@ def enumerate_instances(n_max: int, k_max: int, up_to_symmetry: bool = True):
 
 def random_instance(rng: np.random.Generator, n_max: int, k_max: int):
     """One uniformly sampled instance: n, k, then i.i.d. colors."""
+    n_max, k_max = _count(n_max, "n_max", 1), _count(k_max, "k_max", 1)
     n = int(rng.integers(1, n_max + 1))
     k = int(rng.integers(1, k_max + 1))
     return k, tuple(int(c) for c in rng.integers(0, k, size=n))
@@ -111,8 +114,10 @@ def checked_run(colors, k: int,
     bra-ket multiset equal to the prediction, and all outputs equal to
     the plurality winner when it is unique.
     """
-    colors = tuple(colors)
     config = init_configuration(colors, k)
+    k = config.k
+    # A fresh agent outputs its color: the validated colors as plain ints.
+    colors = tuple([code % k for code in config.codes])
     try:
         final, _, metrics = run(config, RoundRobin(config.n),
                                 UntilQuiescent(cap_cycles),
@@ -123,20 +128,22 @@ def checked_run(colors, k: int,
         return InstanceFailure(
             k, colors, "termination",
             f"not quiescent after {metrics.total_interactions} interactions")
-    predicted = predicted_stable_multiset(colors)
-    reached = final.braket_counts()
+    # Bra-ket indices bra*k + ket sort as their (bra, ket) pairs do.
+    layers = _layer_arcs(colors)
+    predicted = sorted([g * k + h for arcs in layers for g, h in arcs])
+    reached = sorted([code // k for code in final.codes])
     if reached != predicted:
         return InstanceFailure(
             k, colors, "stable-multiset",
-            f"reached {sorted(reached.elements())}, "
-            f"predicted {sorted(predicted.elements())}")
-    winner, unique = brute_majority(colors)
-    if unique:
-        outputs = metrics.final_outputs
-        if set(outputs) != {winner}:
-            return InstanceFailure(
-                k, colors, "output",
-                f"winner {winner} but outputs {dict(outputs)}")
+            f"reached {[divmod(g, k) for g in reached]}, "
+            f"predicted {[divmod(g, k) for g in predicted]}")
+    # The deepest layer holds the most frequent colors: a single arc there
+    # is the self-loop of a unique winner.
+    deepest = layers[-1]
+    if len(deepest) == 1 and set(metrics.final_outputs) != {deepest[0][0]}:
+        return InstanceFailure(
+            k, colors, "output",
+            f"winner {deepest[0][0]} but outputs {dict(metrics.final_outputs)}")
     return None
 
 

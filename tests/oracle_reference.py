@@ -89,13 +89,13 @@ def step(config, pair):
     i, j = pair
     if i == j or not (0 <= i < config.n and 0 <= j < config.n):
         raise ValueError(f"pair {pair!r} invalid for n={config.n}")
-    a, b = config.states[i], config.states[j]
+    states = list(config.states)    # decoded once per step
+    a, b = states[i], states[j]
     result = apply_interaction(a, b, config.k)
     event = TraceEvent(0, pair, (a, b), (result.a, result.b),
                        result.exchanged, result.out_changed)
     if not (result.exchanged or result.out_changed):
         return config, event
-    states = list(config.states)
     states[i], states[j] = result.a, result.b
     return configuration(config.k, states), event
 

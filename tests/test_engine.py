@@ -55,6 +55,15 @@ class TestConfiguration:
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
             Configuration(2, ())
+        with pytest.raises(ValueError):
+            Configuration(2, [])
+
+    def test_stores_any_iterable_of_codes_as_a_tuple(self):
+        codes = (0, 7, 5)
+        assert Configuration(2, codes).codes is codes
+        for given in ([0, 7, 5], iter(codes), (0, np.int8(7), 5)):
+            config = Configuration(2, given)
+            assert type(config.codes) is tuple and config.codes == codes
 
     def test_init_configuration_builds_self_loops(self):
         config = init_configuration([2, 0], 3)
@@ -85,6 +94,7 @@ class TestConfiguration:
             ((7, [1], 9), r"code \[1\] is not an integer"),
             ((7, 1.0), "code 1.0 is not an integer"),
             ((7, True, 9), "code True is not an integer"),
+            ((7, True), "code True is not an integer"),
             ((7, AgentState(1, 1, 1)), r"code AgentState\(bra=1, ket=1, out=1\) "),
         ]
         for codes, message in cases:
@@ -348,7 +358,8 @@ class TestRun:
         current = config
         for event in trace.events:
             i, j = event.pair
-            assert (current.states[i], current.states[j]) == event.pre
+            states = current.states     # decoded once per replayed event
+            assert (states[i], states[j]) == event.pre
             before = sorted_weights(current)
             current, echo = step(current, event.pair)
             assert (echo.exchanged, echo.out_changed) == (
@@ -410,7 +421,8 @@ class TestQuiescenceCheckPoints:
                 expected = at
             if event is not None:
                 i, j = event.pair
-                assert (current.states[i], current.states[j]) == event.pre
+                states = current.states     # decoded once per replayed event
+                assert (states[i], states[j]) == event.pre
                 current, _ = step(current, event.pair)
         assert current.states == final.states
         assert metrics.quiescence_step == expected

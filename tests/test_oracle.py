@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from oracle_reference import (braket_balanced, exhaustive_quiescent_outcomes,
                               greedy_drain, is_exchange_stable, potential_less,
                               stable_multiset_by_layers)
-from pluralitysim.oracle import (brute_majority, circle_braket_set,
-                                 greedy_partition, predicted_stable_multiset)
+from pluralitysim.oracle import (_layer_arcs, brute_majority,
+                                 circle_braket_set, greedy_partition,
+                                 predicted_stable_multiset)
 from pluralitysim.verify import enumerate_instances
 
 
@@ -120,6 +121,30 @@ class TestPredictedStableMultiset:
         k, colors = case
         outcomes = exhaustive_quiescent_outcomes(colors, k)
         assert outcomes == [predicted_stable_multiset(colors)]
+
+
+class TestLayerArcs:
+    def test_layers_of_an_example(self):
+        assert _layer_arcs([2, 0, 2, 1, 2, 0]) == [
+            [(0, 1), (1, 2), (2, 0)], [(0, 2), (2, 0)], [(2, 2)]]
+
+    def test_encoded_arcs_winner_and_prediction_on_every_small_instance(self):
+        # The comparison checked_run makes: sorted codes bra*k + ket of the
+        # arcs against those of the prediction, and the deepest layer's
+        # least bra and size against counting.
+        instances = 0
+        for k, colors in enumerate_instances(8, 6, up_to_symmetry=False):
+            layers = _layer_arcs(colors)
+            encoded = sorted(g * k + h for layer in layers for g, h in layer)
+            reference = stable_multiset_by_layers(colors)
+            assert encoded == sorted(g * k + h for g, h in reference.elements())
+            # decoding keeps the order, so a failure's detail keeps its text
+            assert [divmod(code, k) for code in encoded] == sorted(
+                predicted_stable_multiset(colors).elements()), (k, colors)
+            deepest = layers[-1]
+            assert (min(deepest)[0], len(deepest) == 1) == brute_majority(colors)
+            instances += 1
+        assert instances == 4998    # sum of C(n+k-1, n) over n <= 8, k <= 6
 
 
 class TestMajority:

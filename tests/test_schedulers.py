@@ -68,6 +68,14 @@ class TestPairIndexing:
         with pytest.raises(ValueError):
             canonical_pair(2, 2)
 
+    def test_pair_count_follows_the_count_rule(self):
+        assert [pair_count(n) for n in (0, 1, 2, 5)] == [0, 0, 1, 10]
+        assert pair_count(np.int64(5)) == 10
+        for n in (-3, True, 2.0):
+            with pytest.raises(ValueError,
+                               match="^n must be a non-negative integer"):
+                pair_count(n)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 41, 91, 92])
     def test_matches_lexicographic_enumeration(self, n):
         expected = list(combinations(range(n), 2))
@@ -344,3 +352,8 @@ class TestFairnessAudit:
     def test_rejects_foreign_pairs(self):
         with pytest.raises(ValueError):
             fairness_audit([(0, 5)], 3)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_rejects_a_bad_population_size(self, n):
+        with pytest.raises(ValueError, match="^n must be a non-negative integer"):
+            fairness_audit([], n)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracle_reference import (all_states, least_sorted_rotation,
                               reachable_states_by_search)
 from pluralitysim import engine, protocol, verify
-from pluralitysim.engine import InvariantViolation
+from pluralitysim.engine import Configuration, InvariantViolation
 from pluralitysim.protocol import AgentState, InteractionResult
 from pluralitysim.verify import (checked_run, enumerate_instances,
                                  random_instance, reachable_state_set,
@@ -56,6 +56,19 @@ class TestEnumerateInstances:
             assert list(enumerate_instances(n_max, k_max)) == expected
 
 
+    @pytest.mark.parametrize("n_max, k_max, name", [
+        (True, 2, "n_max"), (-1, 3, "n_max"), (2.0, 3, "n_max"),
+        (3, -2, "k_max"), (3, False, "k_max")])
+    def test_rejects_bad_bounds_naming_them(self, n_max, k_max, name):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a non-negative integer"):
+            list(enumerate_instances(n_max, k_max))
+
+    def test_numpy_bounds_act_as_plain_ints(self):
+        assert list(enumerate_instances(np.int64(4), np.uint8(3))) == list(
+            enumerate_instances(4, 3))
+
+
 class TestRandomInstance:
     def test_is_deterministic_given_the_seed(self):
         a = [random_instance(np.random.default_rng(5), 20, 6)
@@ -71,6 +84,13 @@ class TestRandomInstance:
             assert 1 <= k <= 5
             assert 1 <= len(colors) <= 9
             assert all(isinstance(c, int) and 0 <= c < k for c in colors)
+
+    @pytest.mark.parametrize("n_max, k_max, name", [
+        (0, 3, "n_max"), (-1, 3, "n_max"), (True, 3, "n_max"),
+        (3, 0, "k_max"), (3, 1.5, "k_max")])
+    def test_rejects_bad_bounds_naming_them(self, n_max, k_max, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            random_instance(np.random.default_rng(0), n_max, k_max)
 
 
 class TestCheckedRun:
@@ -90,8 +110,7 @@ class TestCheckedRun:
         assert failure.check == "invariant"
 
     def test_flags_a_wrong_prediction(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.verify.predicted_stable_multiset",
-                            lambda colors: Counter())
+        monkeypatch.setattr("pluralitysim.verify._layer_arcs", lambda colors: [])
         failure = checked_run([0, 1, 1], 2)
         assert failure is not None
         assert failure.check == "stable-multiset"
@@ -99,12 +118,44 @@ class TestCheckedRun:
                                   "predicted []")
 
     def test_flags_wrong_outputs(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.verify.brute_majority",
-                            lambda colors: (0, True))
+        # the same arcs, regrouped so that the deepest layer names 0 the
+        # unique winner
+        monkeypatch.setattr("pluralitysim.verify._layer_arcs",
+                            lambda colors: [[(1, 0), (1, 1)], [(0, 1)]])
         failure = checked_run([0, 1, 1], 2)
         assert failure is not None
         assert failure.check == "output"
         assert failure.detail == "winner 0 but outputs {1: 3}"
+
+    def test_flags_two_swapped_kets_with_the_exact_detail(self, monkeypatch):
+        # The run settles into (0, 1), (1, 2), (2, 0), (2, 2); swapping the
+        # kets of agents 0 and 1 keeps the balance but not the multiset.
+        real_run = verify.run
+
+        def swapped(*args, **kwargs):
+            final, trace, metrics = real_run(*args, **kwargs)
+            (a, b, *rest), k = final.codes, final.k
+            ket_a, ket_b = a // k % k, b // k % k
+            codes = (a + (ket_b - ket_a) * k, b + (ket_a - ket_b) * k, *rest)
+            return Configuration(k, codes), trace, metrics
+
+        monkeypatch.setattr("pluralitysim.verify.run", swapped)
+        assert checked_run([0, 1, 2, 2], 3) == verify.InstanceFailure(
+            3, (0, 1, 2, 2), "stable-multiset",
+            "reached [(0, 2), (1, 1), (2, 0), (2, 2)], "
+            "predicted [(0, 1), (1, 2), (2, 0), (2, 2)]")
+
+    def test_failures_hold_plain_ints(self):
+        failure = checked_run(np.array([0, 1, 1, 2]), 3, cap_cycles=0)
+        assert failure.check == "termination"
+        assert failure.colors == (0, 1, 1, 2)
+        assert all(type(c) is int for c in failure.colors)
+        report = verify_battery([(np.int64(3), (np.int64(0), np.uint8(1)))],
+                                cap_cycles=0)
+        (failure,) = report.failures
+        assert (failure.k, failure.colors) == (3, (0, 1))
+        assert type(failure.k) is int
+        assert all(type(c) is int for c in failure.colors)
 
 
 class TestVerifyBattery:
@@ -121,6 +172,19 @@ class TestVerifyBattery:
         assert not report.ok
         assert report.failures[0].check == "termination"
         assert "1 FAILED" in report.summary()
+
+    def test_one_majority_count_per_instance(self, monkeypatch):
+        calls = []
+        real = verify.brute_majority
+
+        def counted(colors):
+            calls.append(colors)
+            return real(colors)
+
+        monkeypatch.setattr(verify, "brute_majority", counted)
+        report = verify_battery(enumerate_instances(8, 6))
+        assert report.ok
+        assert report.instances == len(calls) == 982
 
     def test_each_input_color_is_validated_exactly_once(self, monkeypatch):
         calls = []
