@@ -15,8 +15,12 @@ Formats: "json-lines" writes one JSON object per line (the metrics
 document is a single line); "csv" writes a header row plus data rows,
 with list- or mapping-valued cells JSON-encoded.
 
-Exit codes: 0 success; 2 usage error; 3 no quiescence within the cap;
-4 runtime invariant violation or failed correctness check.
+Exit codes: 0 success; 2 usage error (or a worker process that exited
+without its result); 3 no quiescence within the cap; 4 runtime invariant
+violation or failed correctness check.
+
+verify and sweep spread their instances and trials over every CPU the
+process may use (see _spread); no output depends on how many there are.
 """
 
 from __future__ import annotations
@@ -27,7 +31,12 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import sys
+from functools import partial
+from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,7 +44,7 @@ from .engine import (FixedSteps, InvariantViolation, RunTrace, UntilQuiescent,
                      init_configuration, run)
 from .oracle import brute_majority
 from .schedulers import make_scheduler
-from .verify import enumerate_instances, random_instance, verify_battery
+from .verify import VerifyReport, _tally, enumerate_instances, random_instance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,10 +77,10 @@ def parse_color_list(text: str) -> list[int]:
     """Colors from inline text: "0,1,1" or "0:3, 1:2" (color:count)."""
     colors: list[int] = []
     for token in text.replace(",", " ").split():
-        color, _, count = token.partition(":")
+        color, colon, count = token.partition(":")
         try:
             c = int(color)
-            m = int(count) if count else 1
+            m = int(count) if colon else 1
         except ValueError:
             raise UsageError(f"cannot parse color token {token!r}") from None
         if c < 0 or m < 0:
@@ -347,6 +356,99 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _share(items, task, state, number: int, count: int):
+    """Run task over the items of process `number` of `count`.
+
+    Returns (state, kept, error): kept holds (position, result) for every
+    result that is not None; error is None or (where, exception) for the
+    first exception, after which the share stops. where is (position, 0)
+    if the stream failed to yield that position, (position, 1) if task
+    failed on it, so that where orders errors as a sequential pass would
+    meet them.
+    """
+    kept = []
+    where = (0, 0)
+    try:
+        for position, item in enumerate(items()):
+            if position % count == number:
+                where = (position, 1)
+                result = task(state, item)
+                if result is not None:
+                    kept.append((position, result))
+            where = (position + 1, 0)
+    except Exception as error:
+        return state, kept, (where, error)
+    return state, kept, None
+
+
+def _spread(items, task, state):
+    """Map task over an item stream on every CPU this process may use.
+
+    W is the number of CPUs in this process's affinity mask on Linux,
+    else 1. items() builds the stream. Each of the W processes (this one
+    is number 0, the others are forked) builds its own and takes the
+    items at positions congruent to its number mod W, so no iterator or
+    file offset crosses a fork. task(state, item) returns a result and
+    may count into state, of which each process has its own copy. A
+    worker sends its state, its kept results and its first exception
+    back through a pipe and exits; W = 1 forks nothing. Workers are
+    forked, not spawned: a fresh interpreter's start and imports (about
+    0.25 s) cost more than all of `verify --n-max 8 --k-max 6` (about
+    0.15 s). The only other thread is numpy's BLAS pool, and no task
+    calls into BLAS.
+
+    Returns (the W states in process order, the (position, result) pairs
+    of every result that is not None, in position order). Instead, the
+    exception a sequential pass would meet first is raised, and a worker
+    that exits without its complete result raises ChildProcessError
+    naming it.
+    """
+    count = (len(os.sched_getaffinity(0))
+             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    shares = [None] * count
+    pids, pipes = {}, {}
+    try:
+        for number in range(1, count):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    payload = pickle.dumps(_share(items, task, state, number, count))
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            pids[number], pipes[number] = pid, read_end
+        shares[0] = _share(items, task, state, 0, count)
+        for number in range(1, count):
+            with os.fdopen(pipes.pop(number), "rb") as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pids.pop(number), 0)
+            try:
+                shares[number] = pickle.loads(payload)
+            except (EOFError, pickle.UnpicklingError):
+                pass    # a worker that died before or while writing
+            if status or shares[number] is None:
+                raise ChildProcessError(f"worker {number} of {count} exited "
+                                        f"without its complete result")
+    finally:
+        for read_end in pipes.values():
+            os.close(read_end)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    errors = [error for _, _, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=itemgetter(0))[1]
+    kept = sorted([pair for _, share, _ in shares for pair in share],
+                  key=itemgetter(0))
+    return [state for state, _, _ in shares], kept
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_flag("--n-max", args.n_max, positive=True)
     _check_flag("--k-max", args.k_max, positive=True)
@@ -354,12 +456,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_flag("--cap", args.cap)
     _check_flag("--seed", args.seed)
     if args.instances is not None:
-        rng = np.random.default_rng(args.seed)
-        instances = (random_instance(rng, args.n_max, args.k_max)
-                     for _ in range(args.instances))
+        def instances():
+            rng = np.random.default_rng(args.seed)
+            return (random_instance(rng, args.n_max, args.k_max)
+                    for _ in range(args.instances))
     else:
-        instances = enumerate_instances(args.n_max, args.k_max)
-    report = verify_battery(instances, cap_cycles=args.cap)
+        instances = partial(enumerate_instances, args.n_max, args.k_max)
+    # Each process tallies its share as verify_battery does.
+    reports, failures = _spread(
+        instances, lambda report, instance: _tally(report, *instance, args.cap),
+        VerifyReport())
+    report = VerifyReport(
+        sum(r.instances for r in reports),
+        sum(r.unique_majority_instances for r in reports),
+        sum(r.tie_instances for r in reports),
+        [failure for _, failure in failures])
     lines = [report.summary() + "\n"]
     for f in report.failures:
         lines.append(f"FAIL check={f.check} k={f.k} "
@@ -374,34 +485,38 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_flag("--trials", args.trials, positive=True)
     _check_flag("--cap", args.cap)
     _check_flag("--seed", args.seed)
+    trials = args.trials
+
+    def run_trial(_, cell):
+        n, k, trial = cell
+        rng = np.random.default_rng([args.seed, n, k, trial])
+        colors = [int(c) for c in rng.integers(0, k, size=n)]
+        scheduler = make_scheduler(args.scheduler, n,
+                                   seed=[args.seed, n, k, trial, 1])
+        _, _, metrics = run(init_configuration(colors, k), scheduler,
+                            UntilQuiescent(args.cap),
+                            assertions="safety", trace="off")
+        return metrics.total_interactions, metrics.ket_exchanges, metrics.converged
+
+    # The grid runs n-major, then k, then trial: each cell's trials are
+    # consecutive positions.
+    _, results = _spread(partial(product, n_values, k_values, range(trials)),
+                         run_trial, None)
     rows = []
     all_converged = True
-    for n in n_values:
-        for k in k_values:
-            interactions = []
-            exchanges = []
-            converged = 0
-            for trial in range(args.trials):
-                rng = np.random.default_rng([args.seed, n, k, trial])
-                colors = [int(c) for c in rng.integers(0, k, size=n)]
-                scheduler = make_scheduler(
-                    args.scheduler, n,
-                    seed=[args.seed, n, k, trial, 1])
-                _, _, metrics = run(init_configuration(colors, k), scheduler,
-                                    UntilQuiescent(args.cap),
-                                    assertions="safety", trace="off")
-                interactions.append(metrics.total_interactions)
-                exchanges.append(metrics.ket_exchanges)
-                converged += metrics.converged
-            all_converged &= converged == args.trials
-            rows.append({
-                "n": n, "k": k, "trials": args.trials, "seed": args.seed,
-                "converged": converged,
-                "mean_interactions": round(sum(interactions) / len(interactions), 6),
-                "max_interactions": max(interactions),
-                "mean_ket_exchanges": round(sum(exchanges) / len(exchanges), 6),
-                "max_ket_exchanges": max(exchanges),
-            })
+    for cell, (n, k) in enumerate(product(n_values, k_values)):
+        interactions, exchanges, converged = zip(
+            *[metrics for _, metrics in results[cell * trials:(cell + 1) * trials]])
+        converged = sum(converged)
+        all_converged &= converged == trials
+        rows.append({
+            "n": n, "k": k, "trials": trials, "seed": args.seed,
+            "converged": converged,
+            "mean_interactions": round(sum(interactions) / trials, 6),
+            "max_interactions": max(interactions),
+            "mean_ket_exchanges": round(sum(exchanges) / trials, 6),
+            "max_ket_exchanges": max(exchanges),
+        })
     write_text(args.out, render_rows(rows, SWEEP_FIELDS, args.format))
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 

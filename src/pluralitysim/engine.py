@@ -196,10 +196,17 @@ class InvariantViolation(AssertionError):
             f"{message} (step {step}, pair {pair}, {pre[0]} x {pre[1]} "
             f"-> {post[0]} x {post[1]})"
         )
+        self._message = message
         self.step = step
         self.pair = pair
         self.pre = pre
         self.post = post
+
+    def __reduce__(self):
+        # Pickling rebuilds through __init__, whose text alone the default
+        # would pass; the CLI sends violations from worker processes.
+        return type(self), (self._message, self.step, self.pair, self.pre,
+                            self.post)
 
 
 def init_configuration(input_colors, k: int) -> Configuration:

@@ -24,26 +24,45 @@ from .protocol import AgentState, _count
 from .schedulers import RoundRobin
 
 
-def _is_least_rotation(counts: list[int]) -> bool:
-    """True iff no rotation of the count vector is greater than it.
+def _greatest_rotations(n: int, k: int):
+    """Yield each count vector of n agents over k colors that no rotation
+    of it exceeds, greatest first; the yielded list is reused.
 
     counts[c] is the number of agents of color c. Adding r mod k to every
     color turns counts into counts[k-r:] + counts[:k-r]. Of two multisets
     of one size, the sorted colors of the one with the lexicographically
-    greater count vector are the less, so the least sorted rotation has
-    the greatest count vector.
+    greater count vector are the less, so the least sorted rotation of a
+    multiset has its orbit's greatest count vector, and greatest first is
+    the order of the sorted colors. Such a vector starts at its maximum:
+    the walk bounds every later count by counts[0] and compares only the
+    rotations that start at that maximum.
     """
-    # A rotation that starts at a greater count is greater: the first
-    # test is a shortcut of the second.
-    return (max(counts) == counts[0]
-            and all(counts[r:] + counts[:r] <= counts for r in range(len(counts))))
+    counts = [0] * k
+
+    def fill(color: int, left: int, top: int):
+        if color == k - 1:
+            counts[color] = left
+            yield counts
+            return
+        least = max(0, left - top * (k - 1 - color))
+        for m in range(min(left, top), least - 1, -1):
+            counts[color] = m
+            yield from fill(color + 1, left - m, top)
+
+    for top in range(n, -(-n // k) - 1, -1):
+        counts[0] = top
+        for vector in fill(1, n - top, top) if k > 1 else [counts]:
+            if all(vector[r:] + vector[:r] <= vector
+                   for r in range(1, k) if vector[r] == top):
+                yield vector
 
 
 def enumerate_instances(n_max: int, k_max: int, up_to_symmetry: bool = True):
     """Yield every instance (k, colors) with 1 <= n <= n_max, 1 <= k <= k_max.
 
     Colors come as sorted tuples (agent order never affects the checked
-    properties, only the step-by-step schedule). With up_to_symmetry,
+    properties, only the step-by-step schedule), in the order of
+    combinations_with_replacement for each k and n. With up_to_symmetry,
     rotation-equivalent multisets are yielded once: a multiset is yielded
     exactly when it is its orbit's least sorted rotation, that is when no
     rotation of its count vector is greater. Both bounds follow the rule
@@ -51,17 +70,13 @@ def enumerate_instances(n_max: int, k_max: int, up_to_symmetry: bool = True):
     """
     n_max, k_max = _count(n_max, "n_max"), _count(k_max, "k_max")
     for k in range(1, k_max + 1):
-        colors = range(k)
         for n in range(1, n_max + 1):
-            for combo in combinations_with_replacement(colors, n):
-                if up_to_symmetry:
-                    if combo[0]:
-                        # This combo and every later one lack color 0,
-                        # which a least rotation holds most often.
-                        break
-                    if not _is_least_rotation(list(map(combo.count, colors))):
-                        continue
-                yield k, combo
+            if up_to_symmetry:
+                for counts in _greatest_rotations(n, k):
+                    yield k, tuple([c for c, m in enumerate(counts) for _ in range(m)])
+            else:
+                for combo in combinations_with_replacement(range(k), n):
+                    yield k, combo
 
 
 def random_instance(rng: np.random.Generator, n_max: int, k_max: int):
@@ -147,17 +162,26 @@ def checked_run(colors, k: int,
     return None
 
 
+def _tally(report: VerifyReport, k: int, colors,
+           cap_cycles: int | None) -> InstanceFailure | None:
+    """Count one instance into the report's totals and check it.
+
+    Returns the instance's failure or None; recording it is the caller's.
+    """
+    report.instances += 1
+    _, unique = brute_majority(colors)
+    if unique:
+        report.unique_majority_instances += 1
+    else:
+        report.tie_instances += 1
+    return checked_run(colors, k, cap_cycles)
+
+
 def verify_battery(instances, cap_cycles: int | None = None) -> VerifyReport:
     """Run checked_run over an iterable of (k, colors) instances."""
     report = VerifyReport()
     for k, colors in instances:
-        report.instances += 1
-        _, unique = brute_majority(colors)
-        if unique:
-            report.unique_majority_instances += 1
-        else:
-            report.tie_instances += 1
-        failure = checked_run(colors, k, cap_cycles)
+        failure = _tally(report, k, colors, cap_cycles)
         if failure is not None:
             report.failures.append(failure)
     return report

@@ -9,15 +9,16 @@ states, the predicted stable multiset as a sum of per-layer Counters, a
 single interaction step through the validated public rule instead of
 the engine's transition table, the runtime invariants and
 the sorted weight vector on decoded states instead of on table entries,
-and the least rotation of a color multiset by sorting every rotation
-instead of comparing count vectors. all_states lists the k**3 states as
-triples, and configuration builds a population from AgentStates by
-encoding each one by hand.
+the least rotation of a color multiset by sorting every rotation
+instead of comparing count vectors, and the rotation-reduced instances
+by filtering every sorted multiset instead of walking count vectors.
+all_states lists the k**3 states as triples, and configuration builds a
+population from AgentStates by encoding each one by hand.
 Tests compare the fast library code against these.
 """
 
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from pluralitysim.engine import Configuration, TraceEvent
 from pluralitysim.protocol import (AgentState, apply_interaction, check_k,
@@ -137,6 +138,22 @@ def full_violation(event, k):
 def least_sorted_rotation(colors, k):
     """Least sorted tuple among the rotations (c + r) % k of the colors."""
     return min(tuple(sorted((c + r) % k for c in colors)) for r in range(k))
+
+
+def instances_by_filter(n_max, k_max):
+    """enumerate_instances(n_max, k_max) by filtering every sorted multiset.
+
+    Keeps a multiset when color 0 is among its most frequent colors and no
+    rotation of its count vector is lexicographically greater, in the
+    order of combinations_with_replacement for each k and n.
+    """
+    for k in range(1, k_max + 1):
+        for n in range(1, n_max + 1):
+            for combo in combinations_with_replacement(range(k), n):
+                counts = [combo.count(c) for c in range(k)]
+                if max(counts) == counts[0] and all(
+                        counts[r:] + counts[:r] <= counts for r in range(k)):
+                    yield k, combo
 
 
 def greedy_drain(input_colors):

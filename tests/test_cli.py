@@ -3,16 +3,18 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from pluralitysim import cli, verify
 from pluralitysim.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE,
                               EXIT_VIOLATION, METRICS_FIELDS, SWEEP_FIELDS,
-                              TRACE_FIELDS, main, parse_color_list)
+                              TRACE_FIELDS, _spread, main, parse_color_list)
 from pluralitysim.engine import init_configuration, run
-from pluralitysim.protocol import AgentState, InteractionResult
+from pluralitysim.protocol import AgentState, InteractionResult, _interact
 from pluralitysim.schedulers import RoundRobin
 
 
@@ -38,6 +40,11 @@ class TestParseColorList:
         for text in ("", "a", "1:b", "-1", "1:-2"):
             with pytest.raises(Exception):
                 parse_color_list(text)
+
+    def test_an_empty_count_is_a_usage_error_naming_the_token(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--colors", "0:,1:2")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: cannot parse color token '0:'\n")
 
 
 class TestRunCommand:
@@ -453,6 +460,128 @@ class TestInvariantViolations:
         assert err.startswith("invariant violation: interaction changed "
                               "the ket multiset (step 0")
         assert out == ""
+
+
+def use_cpus(monkeypatch, count):
+    """Give _spread `count` CPUs; returns the list each fork appends to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(count)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+class TestSpread:
+    @pytest.mark.parametrize("args, code", [
+        (("verify", "--n-max", "6", "--k-max", "4", "--cap", "1"),
+         EXIT_VIOLATION),
+        (("verify", "--n-max", "9", "--k-max", "5", "--instances", "40",
+          "--seed", "2", "--cap", "1"), EXIT_VIOLATION),
+        (("sweep", "--n-list", "5,9", "--k-list", "2,3", "--trials", "4",
+          "--seed", "1", "--scheduler", "random"), EXIT_OK),
+        (("sweep", "--n-list", "4,7", "--k-list", "3,2", "--trials", "5",
+          "--seed", "2", "--format", "json-lines"), EXIT_OK),
+    ], ids=["verify-exhaustive", "verify-sampled", "sweep-random-csv",
+            "sweep-roundrobin-json-lines"])
+    def test_outputs_do_not_depend_on_the_cpu_count(self, capsys, monkeypatch,
+                                                    tmp_path, args, code):
+        seen = []
+        for count in (1, 2, 3):
+            forks = use_cpus(monkeypatch, count)
+            path = tmp_path / f"out-{count}"
+            printed = run_cli(capsys, *args)
+            written = run_cli(capsys, *args, "--out", str(path))
+            assert len(forks) == 2 * (count - 1)
+            seen.append((printed, written, path.read_text()))
+        assert seen[0] == seen[1] == seen[2]
+        (printed_code, out, err), written, text = seen[0]
+        assert (printed_code, err) == (code, "")
+        assert written == (code, "", "") and text == out
+        if args[0] == "verify":
+            assert out.count("\nFAIL ") > 1
+
+    def test_a_raising_trial_gives_the_sequential_error_for_any_cpu_count(
+            self, capsys, monkeypatch):
+        def lose_the_flag(a, b, k):
+            # at k = 3, an exchange between bras 0 and 2 claims it was none
+            result = _interact(a, b, k)
+            if k == 3 and result.exchanged and {a.bra, b.bra} == {0, 2}:
+                return result._replace(exchanged=False)
+            return result
+
+        monkeypatch.setattr("pluralitysim.engine._interact", lose_the_flag)
+        # Of the 12 trials, 5 and 10 raise: 5 runs in a worker for 2 and 3
+        # CPUs, 10 in the calling process for 2.
+        args = ("sweep", "--n-list", "4,6", "--k-list", "2,3", "--trials", "3",
+                "--seed", "7", "--scheduler", "random")
+        for count in (1, 2, 3):
+            use_cpus(monkeypatch, count)
+            code, out, err = run_cli(capsys, *args)
+            assert (code, out) == (EXIT_VIOLATION, "")
+            assert err == ("invariant violation: kets moved without an exchange "
+                           "flag (step 1, pair (2, 3), AgentState(bra=0, ket=0, "
+                           "out=0) x AgentState(bra=2, ket=1, out=2) -> "
+                           "AgentState(bra=0, ket=1, out=0) x AgentState(bra=2, "
+                           "ket=0, out=2))\n")
+
+    @pytest.mark.parametrize("status", [0, 1])
+    @pytest.mark.parametrize("module, name, args", [
+        (cli, "run", ("sweep", "--n-list", "4", "--k-list", "2",
+                      "--trials", "3")),
+        (verify, "checked_run", ("verify", "--n-max", "3", "--k-max", "2")),
+    ], ids=["sweep", "verify"])
+    def test_a_worker_that_exits_early_fails_the_command(
+            self, capsys, monkeypatch, status, module, name, args):
+        parent = os.getpid()
+        original = getattr(module, name)
+
+        def exit_in_a_worker(*call_args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(status)
+            return original(*call_args, **kwargs)
+
+        monkeypatch.setattr(module, name, exit_in_a_worker)
+        use_cpus(monkeypatch, 3)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: worker 1 of 3 exited without its complete result\n"
+
+    def test_merges_by_position_and_raises_the_first_error_met(self,
+                                                               monkeypatch):
+        use_cpus(monkeypatch, 3)
+
+        def square_odd(seen, item):
+            seen.append(item)
+            if item in failing:
+                raise ValueError(f"item {item}")
+            return item * item if item % 2 else None
+
+        def items():
+            yield from range(stream_length)
+            raise KeyError("stream")
+
+        failing, stream_length = (), 10
+        with pytest.raises(KeyError):
+            _spread(items, square_odd, [])
+        failing = (4, 8)
+        with pytest.raises(ValueError, match="^item 4$"):
+            _spread(items, square_odd, [])
+        # The stream fails to yield position 4 before any item fails.
+        stream_length = 4
+        with pytest.raises(KeyError):
+            _spread(items, square_odd, [])
+        stream_length = 5
+        with pytest.raises(ValueError, match="^item 4$"):
+            _spread(items, square_odd, [])
+        failing = ()
+        assert _spread(lambda: range(10), square_odd, []) == (
+            [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]],
+            [(1, 1), (3, 9), (5, 25), (7, 49), (9, 81)])
 
 
 class TestProcessLevel:

@@ -1,5 +1,6 @@
 """Unit tests for configurations, quiescence detection, and run()."""
 
+import pickle
 import re
 from collections import Counter
 
@@ -659,3 +660,13 @@ class TestRuntimeAssertions:
             run(init_configuration([0, 1, 1], 2), RoundRobin(3))
         assert info.value.step == 0
         assert info.value.pair == (0, 1)
+
+    def test_a_violation_pickles_with_its_text_and_fields(self):
+        pre = (AgentState(0, 1, 0), AgentState(1, 0, 1))
+        post = (AgentState(0, 0, 0), AgentState(1, 1, 1))
+        violation = InvariantViolation("kets moved without an exchange flag",
+                                       7, (2, 5), pre, post)
+        copy = pickle.loads(pickle.dumps(violation))
+        assert type(copy) is InvariantViolation
+        assert (str(copy), copy.step, copy.pair, copy.pre, copy.post) == (
+            str(violation), 7, (2, 5), pre, post)

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle_reference import all_states
-from pluralitysim.protocol import (AgentState, _count, apply_interaction,
-                                   check_color, check_k, init_agent, weight)
+from pluralitysim.protocol import (AgentState, _count, _interact,
+                                   apply_interaction, check_color, check_k,
+                                   init_agent, weight)
 
 
 @st.composite
@@ -186,3 +187,24 @@ class TestAllStates:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             all_states(0)
+
+
+def _invariants_hold(state, k):
+    # I1: a self-loop outputs its own color. I2: an agent that outputs the
+    # color after its bra holds the weight-1 arc to that color.
+    bra, ket, out = state
+    return ((bra != ket or out == bra)
+            and (out != (bra + 1) % k or ket == (bra + 1) % k))
+
+
+class TestReachableStateInvariants:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_i1_i2_inductive_over_k3_minus_2k2_plus_3k_states(self, k):
+        allowed = [s for s in all_states(k) if _invariants_hold(s, k)]
+        assert len(allowed) == k**3 - 2 * k**2 + 3 * k
+        assert all(_invariants_hold(AgentState(c, c, c), k) for c in range(k))
+        for a in allowed:
+            for b in allowed:
+                result = _interact(a, b, k)
+                assert _invariants_hold(result.a, k), (a, b)
+                assert _invariants_hold(result.b, k), (a, b)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import (all_states, least_sorted_rotation,
-                              reachable_states_by_search)
+from oracle_reference import (all_states, instances_by_filter,
+                              least_sorted_rotation, reachable_states_by_search)
 from pluralitysim import engine, protocol, verify
 from pluralitysim.engine import Configuration, InvariantViolation
 from pluralitysim.protocol import AgentState, InteractionResult
@@ -55,6 +55,9 @@ class TestEnumerateInstances:
                             expected.append((k, canonical))
             assert list(enumerate_instances(n_max, k_max)) == expected
 
+    def test_count_vector_walk_matches_the_filter(self):
+        # Every n <= 8 at every k <= 9, in order.
+        assert list(enumerate_instances(8, 9)) == list(instances_by_filter(8, 9))
 
     @pytest.mark.parametrize("n_max, k_max, name", [
         (True, 2, "n_max"), (-1, 3, "n_max"), (2.0, 3, "n_max"),
