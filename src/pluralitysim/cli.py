@@ -32,8 +32,8 @@ import json
 import math
 import os
 import pickle
-import signal
 import sys
+import warnings
 from functools import partial
 from itertools import product
 from operator import itemgetter
@@ -381,21 +381,23 @@ def _share(items, task, state, number: int, count: int):
     return state, kept, None
 
 
-def _spread(items, task, state):
-    """Map task over an item stream on every CPU this process may use.
+def _spread(items, task, state, size: int):
+    """Map task over an item stream on the CPUs this process may use.
 
     W is the number of CPUs in this process's affinity mask on Linux,
-    else 1. items() builds the stream. Each of the W processes (this one
-    is number 0, the others are forked) builds its own and takes the
-    items at positions congruent to its number mod W, so no iterator or
-    file offset crosses a fork. task(state, item) returns a result and
-    may count into state, of which each process has its own copy. A
-    worker sends its state, its kept results and its first exception
-    back through a pipe and exits; W = 1 forks nothing. Workers are
-    forked, not spawned: a fresh interpreter's start and imports (about
-    0.25 s) cost more than all of `verify --n-max 8 --k-max 6` (about
-    0.15 s). The only other thread is numpy's BLAS pool, and no task
-    calls into BLAS.
+    else 1, and at most size, which is the number of items or a lower
+    bound on it, so that no process is left without an item. items()
+    builds the stream. Each of the W processes (this one is number 0,
+    the others are forked) builds its own and takes the items at
+    positions congruent to its number mod W, so no iterator or file
+    offset crosses a fork. task(state, item) returns a result and may
+    count into state, of which each process has its own copy. A worker
+    sends its state, its kept results and its first exception back
+    through a pipe and exits; W = 1 forks nothing. Workers are forked,
+    not spawned: a fresh interpreter's start and imports (about 0.25 s)
+    cost more than all of `verify --n-max 8 --k-max 6` (about 0.15 s).
+    The only other thread is numpy's BLAS pool, and no task calls into
+    BLAS.
 
     Returns (the W states in process order, the (position, result) pairs
     of every result that is not None, in position order). Instead, the
@@ -403,14 +405,19 @@ def _spread(items, task, state):
     that exits without its complete result raises ChildProcessError
     naming it.
     """
-    count = (len(os.sched_getaffinity(0))
+    count = (min(len(os.sched_getaffinity(0)), size)
              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
     shares = [None] * count
     pids, pipes = {}, {}
     try:
         for number in range(1, count):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            with warnings.catch_warnings():
+                # Python 3.12 and later warn on a fork while other threads
+                # run; the other thread is numpy's BLAS pool, unused here.
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) "
+                                        "is multi-threaded", DeprecationWarning)
+                pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
@@ -439,7 +446,7 @@ def _spread(items, task, state):
         for read_end in pipes.values():
             os.close(read_end)
         for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, 9)     # SIGKILL
             os.waitpid(pid, 0)
     errors = [error for _, _, error in shares if error is not None]
     if errors:
@@ -463,9 +470,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         instances = partial(enumerate_instances, args.n_max, args.k_max)
     # Each process tallies its share as verify_battery does.
+    # Every (n, k) of an exhaustive battery yields at least one instance.
     reports, failures = _spread(
         instances, lambda report, instance: _tally(report, *instance, args.cap),
-        VerifyReport())
+        VerifyReport(), args.instances or args.n_max * args.k_max)
     report = VerifyReport(
         sum(r.instances for r in reports),
         sum(r.unique_majority_instances for r in reports),
@@ -501,7 +509,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The grid runs n-major, then k, then trial: each cell's trials are
     # consecutive positions.
     _, results = _spread(partial(product, n_values, k_values, range(trials)),
-                         run_trial, None)
+                         run_trial, None, len(n_values) * len(k_values) * trials)
     rows = []
     all_converged = True
     for cell, (n, k) in enumerate(product(n_values, k_values)):

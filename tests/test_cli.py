@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -551,6 +552,40 @@ class TestSpread:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: worker 1 of 3 exited without its complete result\n"
 
+    @pytest.mark.parametrize("args, forks", [
+        (("verify", "--n-max", "1", "--k-max", "1"), 0),
+        (("verify", "--n-max", "2", "--k-max", "1"), 1),
+        (("verify", "--n-max", "5", "--k-max", "4", "--instances", "2"), 1),
+        (("sweep", "--n-list", "4", "--k-list", "2", "--trials", "1"), 0),
+        (("sweep", "--n-list", "4", "--k-list", "2,3", "--trials", "1"), 1),
+        (("sweep", "--n-list", "4,5", "--k-list", "2", "--trials", "2"), 2),
+    ])
+    def test_forks_no_worker_that_would_get_no_item(self, capsys, monkeypatch,
+                                                    args, forks):
+        counted = use_cpus(monkeypatch, 3)
+        code, _, err = run_cli(capsys, *args)
+        assert (code, err, len(counted)) == (EXIT_OK, "", forks)
+
+    def test_ignores_the_warning_python_3_12_gives_on_a_threaded_fork(
+            self, capsys, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is "
+                              f"multi-threaded, use of fork() may lead to "
+                              f"deadlocks in the child.", DeprecationWarning,
+                              stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        args = ("verify", "--n-max", "3", "--k-max", "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, *args)[0] == EXIT_OK
+
     def test_merges_by_position_and_raises_the_first_error_met(self,
                                                                monkeypatch):
         use_cpus(monkeypatch, 3)
@@ -567,19 +602,19 @@ class TestSpread:
 
         failing, stream_length = (), 10
         with pytest.raises(KeyError):
-            _spread(items, square_odd, [])
+            _spread(items, square_odd, [], 10)
         failing = (4, 8)
         with pytest.raises(ValueError, match="^item 4$"):
-            _spread(items, square_odd, [])
+            _spread(items, square_odd, [], 10)
         # The stream fails to yield position 4 before any item fails.
         stream_length = 4
         with pytest.raises(KeyError):
-            _spread(items, square_odd, [])
+            _spread(items, square_odd, [], 10)
         stream_length = 5
         with pytest.raises(ValueError, match="^item 4$"):
-            _spread(items, square_odd, [])
+            _spread(items, square_odd, [], 10)
         failing = ()
-        assert _spread(lambda: range(10), square_odd, []) == (
+        assert _spread(lambda: range(10), square_odd, [], 10) == (
             [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]],
             [(1, 1), (3, 9), (5, 25), (7, 49), (9, 81)])
 
