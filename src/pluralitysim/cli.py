@@ -32,8 +32,11 @@ import json
 import math
 import os
 import pickle
+import shutil
 import sys
+import tempfile
 import warnings
+from contextlib import nullcontext
 from functools import partial
 from itertools import product
 from operator import itemgetter
@@ -230,54 +233,60 @@ def render_rows(rows, fields, fmt: str) -> str:
     return buffer.getvalue()
 
 
-def write_text(path: str | None, text: str):
+def _opened(path: str | None):
+    """Stdout for None or "-", else the file at path opened for writing."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def write_text(path: str | None, text: str):
+    with _opened(path) as handle:
+        handle.write(text)
 
 
 class _StateText(dict):
     """Trace code -> JSON text of its state, encoded on first use."""
 
-    def __init__(self, trace: RunTrace):
+    def __init__(self, k: int):
         super().__init__()
-        self.trace = trace
+        self.state = RunTrace("off", k=k).state
 
     def __missing__(self, code: int) -> str:
-        text = self[code] = json.dumps(list(self.trace.state(code)),
-                                       separators=(",", ":"))
+        text = self[code] = "[%d,%d,%d]" % self.state(code)
         return text
 
 
-def render_trace(trace: RunTrace, fmt: str) -> str:
-    """Serialize a run's trace records as render_rows would their events.
+def _trace_sink(spool, k: int, fmt: str):
+    """A run sink that renders each batch of trace records into spool.
 
     Writes the same bytes as render_rows over the event rows: json-lines
-    with sorted keys, or csv with a header and JSON-encoded list cells.
-    Each distinct state is JSON-encoded once for the whole trace.
+    with sorted keys, or csv with one header and JSON-encoded list cells.
+    Each distinct state is JSON-encoded once per run.
     """
-    state = _StateText(trace)
+    state = _StateText(k)
     flag = ("false", "true")
     if fmt == "json-lines":
-        return "".join([
+        return lambda records: spool.write("".join([
             f'{{"exchanged":{flag[exchanged]},"out_changed":{flag[out_changed]},'
             f'"pair":[{i},{j}],"post":[{state[new_a]},{state[new_b]}],'
             f'"pre":[{state[a]},{state[b]}],"step":{step}}}\n'
             for step, i, j, a, b, new_a, new_b, exchanged, out_changed
-            in trace.records])
+            in records]))
     # Every list cell holds a comma, so csv quotes each one.
-    return ",".join(TRACE_FIELDS) + "\n" + "".join([
+    spool.write(",".join(TRACE_FIELDS) + "\n")
+    return lambda records: spool.write("".join([
         f'{step},"[{i},{j}]","[{state[a]},{state[b]}]",'
         f'"[{state[new_a]},{state[new_b]}]",{flag[exchanged]},{flag[out_changed]}\n'
         for step, i, j, a, b, new_a, new_b, exchanged, out_changed
-        in trace.records])
+        in records]))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Execute one run and write its metrics (and trace); returns exit code."""
     _check_flag("--seed", args.seed)
+    if args.trace == "":
+        raise UsageError("--trace must be a path or -, got ''")
     if args.scheduler != "adversary":
         for flag, value in (("--adversary-exclude", args.adversary_exclude),
                             ("--adversary-release", args.adversary_release)):
@@ -317,31 +326,39 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         policy = UntilQuiescent(args.cap)
     config = init_configuration(colors, k)
-    _, trace, metrics = run(config, scheduler, policy,
+    # The trace goes batch by batch into an anonymous spool file and is
+    # copied to its target after the metrics: memory holds one batch, and
+    # a run that raises touches no file.
+    with (tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+          if args.trace else nullcontext()) as spool:
+        sink = _trace_sink(spool, k, args.format) if args.trace else None
+        _, _, metrics = run(config, scheduler, policy,
                             assertions=args.assertion_level,
-                            trace="changes" if args.trace else "off")
+                            trace="changes" if args.trace else "off", sink=sink)
 
-    winner, unique = brute_majority(colors)
-    doc = {
-        "n": n,
-        "k": k,
-        "scheduler": scheduler.kind,
-        "seed": args.seed,
-        "total_interactions": metrics.total_interactions,
-        "ket_exchanges": metrics.ket_exchanges,
-        "out_updates": metrics.out_updates,
-        "quiescence_step": metrics.quiescence_step,
-        "converged": metrics.converged,
-        "tie": not unique,
-        "winner": winner if unique else None,
-        "final_outputs_histogram": {
-            str(c): metrics.final_outputs[c]
-            for c in sorted(metrics.final_outputs)
-        },
-    }
-    write_text(args.out, render_rows([doc], METRICS_FIELDS, args.format))
-    if args.trace:
-        write_text(args.trace, render_trace(trace, args.format))
+        winner, unique = brute_majority(colors)
+        doc = {
+            "n": n,
+            "k": k,
+            "scheduler": scheduler.kind,
+            "seed": args.seed,
+            "total_interactions": metrics.total_interactions,
+            "ket_exchanges": metrics.ket_exchanges,
+            "out_updates": metrics.out_updates,
+            "quiescence_step": metrics.quiescence_step,
+            "converged": metrics.converged,
+            "tie": not unique,
+            "winner": winner if unique else None,
+            "final_outputs_histogram": {
+                str(c): metrics.final_outputs[c]
+                for c in sorted(metrics.final_outputs)
+            },
+        }
+        write_text(args.out, render_rows([doc], METRICS_FIELDS, args.format))
+        if args.trace:
+            spool.seek(0)
+            with _opened(args.trace) as target:
+                shutil.copyfileobj(spool, target)
 
     if not metrics.converged:
         print(f"no quiescence within {metrics.total_interactions} interactions",

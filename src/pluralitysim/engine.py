@@ -27,6 +27,7 @@ every level therefore cost the same per step.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -426,7 +427,9 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
 def run(config: Configuration, scheduler: Scheduler,
         policy: StopPolicy | None = None, *,
         assertions: str = "safety",
-        trace: str = "changes") -> RunResult:
+        trace: str = "changes",
+        sink: Callable[[list[tuple[int, ...]]], object] | None = None
+        ) -> RunResult:
     """Drive the configuration through the schedule until the policy stops.
 
     Quiescence is checked before the first interaction, after each round
@@ -438,6 +441,12 @@ def run(config: Configuration, scheduler: Scheduler,
     levels: "off", "safety" (bra-ket conservation), "full" (safety plus
     the weight-vector drop at each exchange); any violation raises
     InvariantViolation.
+
+    sink(records) receives the trace records of each batch, at most BATCH
+    in step order, as soon as the batch is applied; a batch with no record
+    makes no call. With a sink the returned trace holds no records, so a
+    run's memory does not grow with its trace; without one the records
+    are kept in the returned trace.
     """
     if assertions not in ASSERTION_LEVELS:
         raise ValueError(f"assertions must be one of {ASSERTION_LEVELS}, "
@@ -467,6 +476,9 @@ def run(config: Configuration, scheduler: Scheduler,
 
     table = _table(k)
     codes = list(config.codes)
+    kept: list[tuple[int, ...]] = []
+    if sink is None:
+        sink = kept.extend
     records: list[tuple[int, ...]] = []
     total = exchanges = out_updates = 0
     quiescence_step = None
@@ -484,6 +496,9 @@ def run(config: Configuration, scheduler: Scheduler,
         batch_exchanges, batch_out_updates = _apply(
             codes, firsts.tolist(), seconds.tolist(), total, k, table,
             assertions, trace, records)
+        if records:
+            sink(records)
+            records = []
         total += count
         exchanges += batch_exchanges
         out_updates += batch_out_updates
@@ -497,4 +512,4 @@ def run(config: Configuration, scheduler: Scheduler,
         converged=quiescence_step is not None,
         final_outputs=Counter([code % k for code in codes]),
     )
-    return RunResult(final, RunTrace(trace, tuple(records), k), metrics)
+    return RunResult(final, RunTrace(trace, tuple(kept), k), metrics)

@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from pluralitysim import cli, verify
@@ -461,6 +463,109 @@ class TestInvariantViolations:
         assert err.startswith("invariant violation: interaction changed "
                               "the ket multiset (step 0")
         assert out == ""
+
+
+class TestRunTrace:
+    """run --trace spools the trace batch by batch and copies it after the
+    metrics; every case also runs under -X dev -W error, so a spool left
+    open would fail it."""
+
+    def test_an_empty_trace_path_is_a_usage_error_before_the_run(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", None)   # calling it would raise
+        code, out, err = run_cli(capsys, "run", "--colors", "0,1,1",
+                                 "--trace", "")
+        assert code == EXIT_USAGE
+        assert err == "error: --trace must be a path or -, got ''\n"
+        assert out == ""
+
+    def test_a_run_that_raises_mid_trace_touches_no_file(
+            self, capsys, monkeypatch, tmp_path):
+        fills = []
+
+        def late_bump_ket(a, b, k):
+            # the shipped rule for the first ten table fills, then a rule
+            # that changes the ket multiset
+            fills.append((a, b))
+            if len(fills) <= 10:
+                return _interact(a, b, k)
+            return InteractionResult(AgentState(a.bra, (a.ket + 1) % k, a.out),
+                                     b, True, False)
+
+        batches = []
+        trace_sink = cli._trace_sink
+
+        def counted_sink(*args):
+            sink = trace_sink(*args)
+            return lambda records: (batches.append(len(records)), sink(records))
+
+        monkeypatch.setattr("pluralitysim.engine._interact", late_bump_ket)
+        monkeypatch.setattr("pluralitysim.engine.BATCH", 4)
+        monkeypatch.setattr(cli, "_trace_sink", counted_sink)
+        trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "m.jsonl"
+        trace_path.write_bytes(b"an earlier trace\n")
+        code, out, err = run_cli(capsys, "run", "--colors", "0:5,1:4,2:3,3:2",
+                                 "--trace", str(trace_path),
+                                 "--out", str(metrics_path))
+        assert code == EXIT_VIOLATION
+        assert err.startswith("invariant violation: interaction changed "
+                              "the ket multiset (step ")
+        assert len(batches) > 2     # records were spooled before the violation
+        assert out == ""
+        assert trace_path.read_bytes() == b"an earlier trace\n"
+        assert not metrics_path.exists()
+
+    def test_a_trace_path_that_cannot_be_opened_fails_after_the_metrics(
+            self, capsys, tmp_path):
+        trace_path = tmp_path / "missing" / "trace.jsonl"
+        metrics_path = tmp_path / "m.jsonl"
+        code, out, err = run_cli(capsys, "run", "--colors", "0,1,1",
+                                 "--trace", str(trace_path),
+                                 "--out", str(metrics_path))
+        assert code == EXIT_USAGE
+        assert err == (f"error: [Errno 2] No such file or directory: "
+                       f"'{trace_path}'\n")
+        assert out == ""
+        assert json.loads(metrics_path.read_text())["winner"] == 1
+
+    @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+    def test_trace_to_stdout_follows_the_metrics(self, capsys, tmp_path, fmt):
+        args = ("run", "--colors", "0,1,1,2,2,2", "--format", fmt)
+        code, metrics, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK
+        trace_path = tmp_path / "trace"
+        code, _, _ = run_cli(capsys, *args, "--trace", str(trace_path))
+        assert code == EXIT_OK
+        code, out, _ = run_cli(capsys, *args, "--trace", "-")
+        assert code == EXIT_OK
+        assert out == metrics + trace_path.read_text()
+        assert len(out.splitlines()) > len(metrics.splitlines()) + 1
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("json-lines", ""), ("csv", ",".join(TRACE_FIELDS) + "\n")])
+    def test_a_run_without_changes_writes_an_empty_trace(self, capsys,
+                                                         tmp_path, fmt,
+                                                         expected):
+        trace_path = tmp_path / "trace"
+        code, _, _ = run_cli(capsys, "run", "--colors", "2:5", "--format", fmt,
+                             "--trace", str(trace_path))
+        assert code == EXIT_OK
+        assert trace_path.read_text() == expected
+
+    def test_memory_stays_below_the_size_of_the_trace(self, capsys, tmp_path):
+        # 300 agents, k = 16: about 28,000 records in 3.3 MiB of trace
+        colors = np.random.default_rng(1).integers(0, 16, size=300).tolist()
+        trace_path = tmp_path / "trace.jsonl"
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "run", "--colors",
+                                 ",".join(map(str, colors)), "--k", "16",
+                                 "--trace", str(trace_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < trace_path.stat().st_size
 
 
 def use_cpus(monkeypatch, count):

@@ -372,6 +372,39 @@ class TestRun:
                 assert after == before
         assert current.states == final.states
 
+    @given(instances(), st.sampled_from(["roundrobin", "random", "adversary"]),
+           st.sampled_from(["changes", "full", "off"]),
+           st.integers(1, 40) | st.just(engine.BATCH),
+           st.integers(0, 2**32), st.none() | st.integers(0, 100))
+    @settings(max_examples=150, deadline=None)
+    def test_a_sink_gets_the_records_batch_by_batch(self, case, kind, mode,
+                                                    batch, seed, release):
+        k, colors = case
+        n = len(colors)
+        assume(kind != "adversary" or n >= 3)
+        config = init_configuration(colors, k)
+
+        def run_with(**sink):
+            scheduler = make_scheduler(kind, n, seed=seed, release_step=release)
+            return run(config, scheduler, UntilQuiescent(max_cycles=20),
+                       trace=mode, **sink)
+
+        batches = []
+        original = engine.BATCH
+        engine.BATCH = batch
+        try:
+            kept = run_with()
+            sunk = run_with(sink=batches.append)
+        finally:
+            engine.BATCH = original
+        assert [record for records in batches for record in records] == list(
+            kept.trace.records)
+        assert all(0 < len(records) <= batch for records in batches)
+        if mode == "off":
+            assert batches == []
+        assert sunk.trace.records == ()
+        assert (sunk.final, sunk.metrics) == (kept.final, kept.metrics)
+
 
 class TestQuiescenceCheckPoints:
     @given(instances(),
