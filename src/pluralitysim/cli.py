@@ -47,7 +47,7 @@ from .engine import (FixedSteps, InvariantViolation, RunTrace, UntilQuiescent,
                      init_configuration, run)
 from .oracle import brute_majority
 from .schedulers import make_scheduler
-from .verify import VerifyReport, _tally, enumerate_instances, random_instance
+from .verify import _check, _report, enumerate_instances, random_instance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -282,11 +282,21 @@ def _trace_sink(spool, k: int, fmt: str):
         in records]))
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one file: the same file if both exist, else
+    the same path once symlinks and .. are resolved."""
+    if os.path.exists(first) and os.path.exists(second):
+        return os.path.samefile(first, second)
+    return os.path.realpath(first) == os.path.realpath(second)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """Execute one run and write its metrics (and trace); returns exit code."""
     _check_flag("--seed", args.seed)
-    if args.trace == "":
-        raise UsageError("--trace must be a path or -, got ''")
+    if (args.out not in (None, "-") and args.trace not in (None, "-")
+            and _same_file(args.out, args.trace)):
+        raise UsageError(f"--out {args.out!r} and --trace {args.trace!r} "
+                         f"name the same file")
     if args.scheduler != "adversary":
         for flag, value in (("--adversary-exclude", args.adversary_exclude),
                             ("--adversary-release", args.adversary_release)):
@@ -373,54 +383,48 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _share(items, task, state, number: int, count: int):
+def _share(items, task, number: int, count: int):
     """Run task over the items of process `number` of `count`.
 
-    Returns (state, kept, error): kept holds (position, result) for every
-    result that is not None; error is None or (where, exception) for the
-    first exception, after which the share stops. where is (position, 0)
-    if the stream failed to yield that position, (position, 1) if task
-    failed on it, so that where orders errors as a sequential pass would
-    meet them.
+    Returns (results, error): results holds task's result for each of
+    the process's positions in order; error is None or (where,
+    exception) for the first exception, after which the share stops.
+    where is (position, 0) if the stream failed to yield that position,
+    (position, 1) if task failed on it, so that where orders errors as a
+    sequential pass would meet them.
     """
-    kept = []
+    results = []
     where = (0, 0)
     try:
         for position, item in enumerate(items()):
             if position % count == number:
                 where = (position, 1)
-                result = task(state, item)
-                if result is not None:
-                    kept.append((position, result))
+                results.append(task(item))
             where = (position + 1, 0)
     except Exception as error:
-        return state, kept, (where, error)
-    return state, kept, None
+        return results, (where, error)
+    return results, None
 
 
-def _spread(items, task, state, size: int):
-    """Map task over an item stream on the CPUs this process may use.
+def _spread(items, task, size: int) -> list:
+    """[task(item) for item in items()] on the CPUs this process may use.
 
     W is the number of CPUs in this process's affinity mask on Linux,
     else 1, and at most size, which is the number of items or a lower
     bound on it, so that no process is left without an item. items()
     builds the stream. Each of the W processes (this one is number 0,
-    the others are forked) builds its own and takes the items at
+    the others are forked) builds its own and runs task on the items at
     positions congruent to its number mod W, so no iterator or file
-    offset crosses a fork. task(state, item) returns a result and may
-    count into state, of which each process has its own copy. A worker
-    sends its state, its kept results and its first exception back
-    through a pipe and exits; W = 1 forks nothing. Workers are forked,
-    not spawned: a fresh interpreter's start and imports (about 0.25 s)
-    cost more than all of `verify --n-max 8 --k-max 6` (about 0.15 s).
-    The only other thread is numpy's BLAS pool, and no task calls into
-    BLAS.
+    offset crosses a fork. A worker sends its results and its first
+    exception back through a pipe and exits; W = 1 forks nothing.
+    Workers are forked, not spawned: a fresh interpreter's start and
+    imports (about 0.25 s) cost more than all of `verify --n-max 8
+    --k-max 6` (about 0.15 s). The only other thread is numpy's BLAS
+    pool, and no task calls into BLAS.
 
-    Returns (the W states in process order, the (position, result) pairs
-    of every result that is not None, in position order). Instead, the
-    exception a sequential pass would meet first is raised, and a worker
-    that exits without its complete result raises ChildProcessError
-    naming it.
+    Returns the results in stream order. Instead, the exception a
+    sequential pass would meet first is raised, and a worker that exits
+    without its complete result raises ChildProcessError naming it.
     """
     count = (min(len(os.sched_getaffinity(0)), size)
              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
@@ -439,7 +443,7 @@ def _spread(items, task, state, size: int):
                 status = 1
                 try:
                     os.close(read_end)
-                    payload = pickle.dumps(_share(items, task, state, number, count))
+                    payload = pickle.dumps(_share(items, task, number, count))
                     with os.fdopen(write_end, "wb") as pipe:
                         pipe.write(payload)
                     status = 0
@@ -447,7 +451,7 @@ def _spread(items, task, state, size: int):
                     os._exit(status)
             os.close(write_end)
             pids[number], pipes[number] = pid, read_end
-        shares[0] = _share(items, task, state, 0, count)
+        shares[0] = _share(items, task, 0, count)
         for number in range(1, count):
             with os.fdopen(pipes.pop(number), "rb") as pipe:
                 payload = pipe.read()
@@ -465,12 +469,14 @@ def _spread(items, task, state, size: int):
         for pid in pids.values():
             os.kill(pid, 9)     # SIGKILL
             os.waitpid(pid, 0)
-    errors = [error for _, _, error in shares if error is not None]
+    errors = [error for _, error in shares if error is not None]
     if errors:
         raise min(errors, key=itemgetter(0))[1]
-    kept = sorted([pair for _, share, _ in shares for pair in share],
-                  key=itemgetter(0))
-    return [state for state, _, _ in shares], kept
+    # Process number holds positions number, number + W, ...
+    merged = [None] * sum(len(results) for results, _ in shares)
+    for number, (results, _) in enumerate(shares):
+        merged[number::count] = results
+    return merged
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -486,16 +492,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     for _ in range(args.instances))
     else:
         instances = partial(enumerate_instances, args.n_max, args.k_max)
-    # Each process tallies its share as verify_battery does.
     # Every (n, k) of an exhaustive battery yields at least one instance.
-    reports, failures = _spread(
-        instances, lambda report, instance: _tally(report, *instance, args.cap),
-        VerifyReport(), args.instances or args.n_max * args.k_max)
-    report = VerifyReport(
-        sum(r.instances for r in reports),
-        sum(r.unique_majority_instances for r in reports),
-        sum(r.tie_instances for r in reports),
-        [failure for _, failure in failures])
+    report = _report(_spread(instances,
+                             lambda instance: _check(*instance, args.cap),
+                             args.instances or args.n_max * args.k_max))
     lines = [report.summary() + "\n"]
     for f in report.failures:
         lines.append(f"FAIL check={f.check} k={f.k} "
@@ -512,7 +512,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_flag("--seed", args.seed)
     trials = args.trials
 
-    def run_trial(_, cell):
+    def run_trial(cell):
         n, k, trial = cell
         rng = np.random.default_rng([args.seed, n, k, trial])
         colors = [int(c) for c in rng.integers(0, k, size=n)]
@@ -525,13 +525,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # The grid runs n-major, then k, then trial: each cell's trials are
     # consecutive positions.
-    _, results = _spread(partial(product, n_values, k_values, range(trials)),
-                         run_trial, None, len(n_values) * len(k_values) * trials)
+    results = _spread(partial(product, n_values, k_values, range(trials)),
+                      run_trial, len(n_values) * len(k_values) * trials)
     rows = []
     all_converged = True
     for cell, (n, k) in enumerate(product(n_values, k_values)):
         interactions, exchanges, converged = zip(
-            *[metrics for _, metrics in results[cell * trials:(cell + 1) * trials]])
+            *results[cell * trials:(cell + 1) * trials])
         converged = sum(converged)
         all_converged &= converged == trials
         rows.append({
@@ -624,6 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "trace"):
+            if getattr(args, flag, None) == "":
+                raise UsageError(f"--{flag} must be a path or -, got ''")
         return args.func(args)
     except (UsageError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -162,29 +162,24 @@ def checked_run(colors, k: int,
     return None
 
 
-def _tally(report: VerifyReport, k: int, colors,
-           cap_cycles: int | None) -> InstanceFailure | None:
-    """Count one instance into the report's totals and check it.
+def _check(k: int, colors,
+           cap_cycles: int | None) -> tuple[bool, InstanceFailure | None]:
+    """Check one instance: (whether its plurality winner is unique, its
+    failure or None)."""
+    return brute_majority(colors)[1], checked_run(colors, k, cap_cycles)
 
-    Returns the instance's failure or None; recording it is the caller's.
-    """
-    report.instances += 1
-    _, unique = brute_majority(colors)
-    if unique:
-        report.unique_majority_instances += 1
-    else:
-        report.tie_instances += 1
-    return checked_run(colors, k, cap_cycles)
+
+def _report(results: list) -> VerifyReport:
+    """The report of a battery from the _check result of each instance,
+    in instance order."""
+    unique = sum(is_unique for is_unique, _ in results)
+    return VerifyReport(len(results), unique, len(results) - unique,
+                        [failure for _, failure in results if failure is not None])
 
 
 def verify_battery(instances, cap_cycles: int | None = None) -> VerifyReport:
     """Run checked_run over an iterable of (k, colors) instances."""
-    report = VerifyReport()
-    for k, colors in instances:
-        failure = _tally(report, k, colors, cap_cycles)
-        if failure is not None:
-            report.failures.append(failure)
-    return report
+    return _report([_check(k, colors, cap_cycles) for k, colors in instances])
 
 
 def reachable_state_set(input_colors, k: int) -> set[AgentState]:

@@ -372,6 +372,65 @@ class TestVerifyCommand:
         assert flag in err
         assert out == ""
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_prints_the_report_verify_battery_builds(self, capsys, monkeypatch,
+                                                     count):
+        # The library and the command build their report in one function.
+        built, report_of = [], verify._report
+
+        def counted_report(results):
+            built.append(len(results))
+            return report_of(results)
+
+        monkeypatch.setattr(verify, "_report", counted_report)
+        monkeypatch.setattr(cli, "_report", counted_report)
+        report = verify.verify_battery(verify.enumerate_instances(6, 4),
+                                       cap_cycles=1)
+        assert len(report.failures) > 1
+        expected = report.summary() + "\n" + "".join(
+            f"FAIL check={f.check} k={f.k} colors={list(f.colors)}: {f.detail}\n"
+            for f in report.failures)
+        use_cpus(monkeypatch, count)
+        assert run_cli(capsys, "verify", "--n-max", "6", "--k-max", "4",
+                       "--cap", "1") == (EXIT_VIOLATION, expected, "")
+        assert built == [report.instances, report.instances]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("args", [
+        ("run", "--colors", "0,1,1"),
+        ("verify", "--n-max", "2", "--k-max", "2"),
+        ("sweep", "--n-list", "4", "--k-list", "2", "--trials", "1"),
+    ], ids=["run", "verify", "sweep"])
+    def test_an_empty_out_path_is_a_usage_error_before_any_work(
+            self, capsys, monkeypatch, args):
+        monkeypatch.setattr(cli, "run", None)   # calling either would raise
+        monkeypatch.setattr(cli, "_spread", None)
+        assert run_cli(capsys, *args, "--out", "") == (
+            EXIT_USAGE, "", "error: --out must be a path or -, got ''\n")
+
+    @pytest.mark.parametrize("spelling", ["relative", "hard-link"])
+    def test_out_and_trace_naming_one_file_is_a_usage_error_before_the_run(
+            self, capsys, monkeypatch, tmp_path, spelling):
+        monkeypatch.setattr(cli, "run", None)   # calling it would raise
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.jsonl"
+        if spelling == "relative":
+            other = "run.jsonl"
+        else:
+            path.write_text("an earlier file\n")
+            os.link(path, tmp_path / "alias.jsonl")
+            other = "alias.jsonl"
+        code, out, err = run_cli(capsys, "run", "--colors", "0,1,1",
+                                 "--out", str(path), "--trace", other)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"error: --out {str(path)!r} and --trace {other!r} "
+                       f"name the same file\n")
+        if spelling == "relative":
+            assert not path.exists()
+        else:
+            assert path.read_text() == "an earlier file\n"
+
 
 class TestSweepCommand:
     def test_deterministic_csv_grid(self, capsys):
@@ -539,6 +598,8 @@ class TestRunTrace:
         code, out, _ = run_cli(capsys, *args, "--trace", "-")
         assert code == EXIT_OK
         assert out == metrics + trace_path.read_text()
+        assert run_cli(capsys, *args, "--out", "-", "--trace", "-") == (
+            EXIT_OK, out, "")
         assert len(out.splitlines()) > len(metrics.splitlines()) + 1
 
     @pytest.mark.parametrize("fmt, expected", [
@@ -695,11 +756,10 @@ class TestSpread:
                                                                monkeypatch):
         use_cpus(monkeypatch, 3)
 
-        def square_odd(seen, item):
-            seen.append(item)
+        def square_odd(item):
             if item in failing:
                 raise ValueError(f"item {item}")
-            return item * item if item % 2 else None
+            return os.getpid(), item * item if item % 2 else None
 
         def items():
             yield from range(stream_length)
@@ -707,21 +767,26 @@ class TestSpread:
 
         failing, stream_length = (), 10
         with pytest.raises(KeyError):
-            _spread(items, square_odd, [], 10)
+            _spread(items, square_odd, 10)
         failing = (4, 8)
         with pytest.raises(ValueError, match="^item 4$"):
-            _spread(items, square_odd, [], 10)
+            _spread(items, square_odd, 10)
         # The stream fails to yield position 4 before any item fails.
         stream_length = 4
         with pytest.raises(KeyError):
-            _spread(items, square_odd, [], 10)
+            _spread(items, square_odd, 10)
         stream_length = 5
         with pytest.raises(ValueError, match="^item 4$"):
-            _spread(items, square_odd, [], 10)
+            _spread(items, square_odd, 10)
         failing = ()
-        assert _spread(lambda: range(10), square_odd, [], 10) == (
-            [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]],
-            [(1, 1), (3, 9), (5, 25), (7, 49), (9, 81)])
+        pids, squares = zip(*_spread(lambda: range(10), square_odd, 10))
+        assert squares == (None, 1, None, 9, None, 25, None, 49, None, 81)
+        # This process runs positions 0, 3, 6, 9 and each worker its own.
+        by_process = {}
+        for position, pid in enumerate(pids):
+            by_process.setdefault(pid, []).append(position)
+        assert by_process.pop(os.getpid()) == [0, 3, 6, 9]
+        assert sorted(by_process.values()) == [[1, 4, 7], [2, 5, 8]]
 
 
 class TestProcessLevel:
