@@ -15,12 +15,8 @@ Formats: "json-lines" writes one JSON object per line (the metrics
 document is a single line); "csv" writes a header row plus data rows,
 with list- or mapping-valued cells JSON-encoded.
 
-Exit codes: 0 success; 2 usage error (or a worker process that exited
-without its result); 3 no quiescence within the cap; 4 runtime invariant
-violation or failed correctness check.
-
-verify and sweep spread their instances and trials over every CPU the
-process may use (see _spread); no output depends on how many there are.
+Exit codes: 0 success; 2 usage error; 3 no quiescence within the cap;
+4 runtime invariant violation or failed correctness check.
 """
 
 from __future__ import annotations
@@ -31,15 +27,11 @@ import io
 import json
 import math
 import os
-import pickle
 import shutil
 import sys
 import tempfile
-import warnings
 from contextlib import nullcontext
-from functools import partial
 from itertools import product
-from operator import itemgetter
 
 import numpy as np
 
@@ -47,7 +39,7 @@ from .engine import (FixedSteps, InvariantViolation, RunTrace, UntilQuiescent,
                      init_configuration, run)
 from .oracle import brute_majority
 from .schedulers import make_scheduler
-from .verify import _check, _report, enumerate_instances, random_instance
+from .verify import enumerate_instances, random_instance, verify_battery
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -383,102 +375,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _share(items, task, number: int, count: int):
-    """Run task over the items of process `number` of `count`.
-
-    Returns (results, error): results holds task's result for each of
-    the process's positions in order; error is None or (where,
-    exception) for the first exception, after which the share stops.
-    where is (position, 0) if the stream failed to yield that position,
-    (position, 1) if task failed on it, so that where orders errors as a
-    sequential pass would meet them.
-    """
-    results = []
-    where = (0, 0)
-    try:
-        for position, item in enumerate(items()):
-            if position % count == number:
-                where = (position, 1)
-                results.append(task(item))
-            where = (position + 1, 0)
-    except Exception as error:
-        return results, (where, error)
-    return results, None
-
-
-def _spread(items, task, size: int) -> list:
-    """[task(item) for item in items()] on the CPUs this process may use.
-
-    W is the number of CPUs in this process's affinity mask on Linux,
-    else 1, and at most size, which is the number of items or a lower
-    bound on it, so that no process is left without an item. items()
-    builds the stream. Each of the W processes (this one is number 0,
-    the others are forked) builds its own and runs task on the items at
-    positions congruent to its number mod W, so no iterator or file
-    offset crosses a fork. A worker sends its results and its first
-    exception back through a pipe and exits; W = 1 forks nothing.
-    Workers are forked, not spawned: a fresh interpreter's start and
-    imports (about 0.25 s) cost more than all of `verify --n-max 8
-    --k-max 6` (about 0.15 s). The only other thread is numpy's BLAS
-    pool, and no task calls into BLAS.
-
-    Returns the results in stream order. Instead, the exception a
-    sequential pass would meet first is raised, and a worker that exits
-    without its complete result raises ChildProcessError naming it.
-    """
-    count = (min(len(os.sched_getaffinity(0)), size)
-             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-    shares = [None] * count
-    pids, pipes = {}, {}
-    try:
-        for number in range(1, count):
-            read_end, write_end = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12 and later warn on a fork while other threads
-                # run; the other thread is numpy's BLAS pool, unused here.
-                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) "
-                                        "is multi-threaded", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_end)
-                    payload = pickle.dumps(_share(items, task, number, count))
-                    with os.fdopen(write_end, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            pids[number], pipes[number] = pid, read_end
-        shares[0] = _share(items, task, 0, count)
-        for number in range(1, count):
-            with os.fdopen(pipes.pop(number), "rb") as pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pids.pop(number), 0)
-            try:
-                shares[number] = pickle.loads(payload)
-            except (EOFError, pickle.UnpicklingError):
-                pass    # a worker that died before or while writing
-            if status or shares[number] is None:
-                raise ChildProcessError(f"worker {number} of {count} exited "
-                                        f"without its complete result")
-    finally:
-        for read_end in pipes.values():
-            os.close(read_end)
-        for pid in pids.values():
-            os.kill(pid, 9)     # SIGKILL
-            os.waitpid(pid, 0)
-    errors = [error for _, error in shares if error is not None]
-    if errors:
-        raise min(errors, key=itemgetter(0))[1]
-    # Process number holds positions number, number + W, ...
-    merged = [None] * sum(len(results) for results, _ in shares)
-    for number, (results, _) in enumerate(shares):
-        merged[number::count] = results
-    return merged
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_flag("--n-max", args.n_max, positive=True)
     _check_flag("--k-max", args.k_max, positive=True)
@@ -486,16 +382,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_flag("--cap", args.cap)
     _check_flag("--seed", args.seed)
     if args.instances is not None:
-        def instances():
-            rng = np.random.default_rng(args.seed)
-            return (random_instance(rng, args.n_max, args.k_max)
-                    for _ in range(args.instances))
+        rng = np.random.default_rng(args.seed)
+        instances = (random_instance(rng, args.n_max, args.k_max)
+                     for _ in range(args.instances))
     else:
-        instances = partial(enumerate_instances, args.n_max, args.k_max)
-    # Every (n, k) of an exhaustive battery yields at least one instance.
-    report = _report(_spread(instances,
-                             lambda instance: _check(*instance, args.cap),
-                             args.instances or args.n_max * args.k_max))
+        instances = enumerate_instances(args.n_max, args.k_max)
+    report = verify_battery(instances, args.cap)
     lines = [report.summary() + "\n"]
     for f in report.failures:
         lines.append(f"FAIL check={f.check} k={f.k} "
@@ -511,28 +403,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_flag("--cap", args.cap)
     _check_flag("--seed", args.seed)
     trials = args.trials
-
-    def run_trial(cell):
-        n, k, trial = cell
-        rng = np.random.default_rng([args.seed, n, k, trial])
-        colors = [int(c) for c in rng.integers(0, k, size=n)]
-        scheduler = make_scheduler(args.scheduler, n,
-                                   seed=[args.seed, n, k, trial, 1])
-        _, _, metrics = run(init_configuration(colors, k), scheduler,
-                            UntilQuiescent(args.cap),
-                            assertions="safety", trace="off")
-        return metrics.total_interactions, metrics.ket_exchanges, metrics.converged
-
-    # The grid runs n-major, then k, then trial: each cell's trials are
-    # consecutive positions.
-    results = _spread(partial(product, n_values, k_values, range(trials)),
-                      run_trial, len(n_values) * len(k_values) * trials)
     rows = []
     all_converged = True
-    for cell, (n, k) in enumerate(product(n_values, k_values)):
-        interactions, exchanges, converged = zip(
-            *results[cell * trials:(cell + 1) * trials])
-        converged = sum(converged)
+    for n, k in product(n_values, k_values):
+        interactions, exchanges, converged = [], [], 0
+        for trial in range(trials):
+            rng = np.random.default_rng([args.seed, n, k, trial])
+            colors = [int(c) for c in rng.integers(0, k, size=n)]
+            scheduler = make_scheduler(args.scheduler, n,
+                                       seed=[args.seed, n, k, trial, 1])
+            _, _, metrics = run(init_configuration(colors, k), scheduler,
+                                UntilQuiescent(args.cap),
+                                assertions="safety", trace="off")
+            interactions.append(metrics.total_interactions)
+            exchanges.append(metrics.ket_exchanges)
+            converged += metrics.converged
         all_converged &= converged == trials
         rows.append({
             "n": n, "k": k, "trials": trials, "seed": args.seed,

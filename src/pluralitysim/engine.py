@@ -205,7 +205,7 @@ class InvariantViolation(AssertionError):
 
     def __reduce__(self):
         # Pickling rebuilds through __init__, whose text alone the default
-        # would pass; the CLI sends violations from worker processes.
+        # would pass, so a violation keeps its fields across processes.
         return type(self), (self._message, self.step, self.pair, self.pre,
                             self.post)
 

@@ -162,24 +162,20 @@ def checked_run(colors, k: int,
     return None
 
 
-def _check(k: int, colors,
-           cap_cycles: int | None) -> tuple[bool, InstanceFailure | None]:
-    """Check one instance: (whether its plurality winner is unique, its
-    failure or None)."""
-    return brute_majority(colors)[1], checked_run(colors, k, cap_cycles)
-
-
-def _report(results: list) -> VerifyReport:
-    """The report of a battery from the _check result of each instance,
-    in instance order."""
-    unique = sum(is_unique for is_unique, _ in results)
-    return VerifyReport(len(results), unique, len(results) - unique,
-                        [failure for _, failure in results if failure is not None])
-
-
 def verify_battery(instances, cap_cycles: int | None = None) -> VerifyReport:
-    """Run checked_run over an iterable of (k, colors) instances."""
-    return _report([_check(k, colors, cap_cycles) for k, colors in instances])
+    """Run checked_run over an iterable of (k, colors) instances, tallying
+    one instance at a time."""
+    report = VerifyReport()
+    for k, colors in instances:
+        report.instances += 1
+        if brute_majority(colors)[1]:
+            report.unique_majority_instances += 1
+        else:
+            report.tie_instances += 1
+        failure = checked_run(colors, k, cap_cycles)
+        if failure is not None:
+            report.failures.append(failure)
+    return report
 
 
 def reachable_state_set(input_colors, k: int) -> set[AgentState]:

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import pytest
 from pluralitysim import cli, verify
 from pluralitysim.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE,
                               EXIT_VIOLATION, METRICS_FIELDS, SWEEP_FIELDS,
-                              TRACE_FIELDS, _spread, main, parse_color_list)
+                              TRACE_FIELDS, main, parse_color_list)
 from pluralitysim.engine import init_configuration, run
 from pluralitysim.protocol import AgentState, InteractionResult, _interact
 from pluralitysim.schedulers import RoundRobin
@@ -376,24 +375,22 @@ class TestVerifyCommand:
     def test_prints_the_report_verify_battery_builds(self, capsys, monkeypatch,
                                                      count):
         # The library and the command build their report in one function.
-        built, report_of = [], verify._report
+        calls, battery = [], verify.verify_battery
 
-        def counted_report(results):
-            built.append(len(results))
-            return report_of(results)
+        def counted_battery(*args):
+            calls.append(args)
+            return battery(*args)
 
-        monkeypatch.setattr(verify, "_report", counted_report)
-        monkeypatch.setattr(cli, "_report", counted_report)
-        report = verify.verify_battery(verify.enumerate_instances(6, 4),
-                                       cap_cycles=1)
+        monkeypatch.setattr(cli, "verify_battery", counted_battery)
+        report = battery(verify.enumerate_instances(6, 4), cap_cycles=1)
         assert len(report.failures) > 1
         expected = report.summary() + "\n" + "".join(
             f"FAIL check={f.check} k={f.k} colors={list(f.colors)}: {f.detail}\n"
             for f in report.failures)
-        use_cpus(monkeypatch, count)
+        forbid_fork(monkeypatch, count)
         assert run_cli(capsys, "verify", "--n-max", "6", "--k-max", "4",
                        "--cap", "1") == (EXIT_VIOLATION, expected, "")
-        assert built == [report.instances, report.instances]
+        assert [cap for _, cap in calls] == [1]
 
 
 class TestOutputPaths:
@@ -405,7 +402,7 @@ class TestOutputPaths:
     def test_an_empty_out_path_is_a_usage_error_before_any_work(
             self, capsys, monkeypatch, args):
         monkeypatch.setattr(cli, "run", None)   # calling either would raise
-        monkeypatch.setattr(cli, "_spread", None)
+        monkeypatch.setattr(cli, "verify_battery", None)
         assert run_cli(capsys, *args, "--out", "") == (
             EXIT_USAGE, "", "error: --out must be a path or -, got ''\n")
 
@@ -629,21 +626,21 @@ class TestRunTrace:
         assert peak < trace_path.stat().st_size
 
 
-def use_cpus(monkeypatch, count):
-    """Give _spread `count` CPUs; returns the list each fork appends to."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    forks = []
-    fork = os.fork
+def forbid_fork(monkeypatch, count):
+    """Give this process `count` CPUs and make any fork fail the test."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
 
-    def counted_fork():
-        forks.append(count)
-        return fork()
+    def fork():
+        raise AssertionError("forked")
 
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
+    monkeypatch.setattr(os, "fork", fork, raising=False)
 
 
 class TestSpread:
+    """verify and sweep run every instance and trial in the calling
+    process, however many CPUs it may use."""
+
     @pytest.mark.parametrize("args, code", [
         (("verify", "--n-max", "6", "--k-max", "4", "--cap", "1"),
          EXIT_VIOLATION),
@@ -657,18 +654,12 @@ class TestSpread:
             "sweep-roundrobin-json-lines"])
     def test_outputs_do_not_depend_on_the_cpu_count(self, capsys, monkeypatch,
                                                     tmp_path, args, code):
-        seen = []
-        for count in (1, 2, 3):
-            forks = use_cpus(monkeypatch, count)
-            path = tmp_path / f"out-{count}"
-            printed = run_cli(capsys, *args)
-            written = run_cli(capsys, *args, "--out", str(path))
-            assert len(forks) == 2 * (count - 1)
-            seen.append((printed, written, path.read_text()))
-        assert seen[0] == seen[1] == seen[2]
-        (printed_code, out, err), written, text = seen[0]
-        assert (printed_code, err) == (code, "")
-        assert written == (code, "", "") and text == out
+        forbid_fork(monkeypatch, 4)
+        path = tmp_path / "out"
+        code_printed, out, err = run_cli(capsys, *args)
+        assert (code_printed, err) == (code, "")
+        assert run_cli(capsys, *args, "--out", str(path)) == (code, "", "")
+        assert path.read_text() == out
         if args[0] == "verify":
             assert out.count("\nFAIL ") > 1
 
@@ -682,111 +673,17 @@ class TestSpread:
             return result
 
         monkeypatch.setattr("pluralitysim.engine._interact", lose_the_flag)
-        # Of the 12 trials, 5 and 10 raise: 5 runs in a worker for 2 and 3
-        # CPUs, 10 in the calling process for 2.
+        forbid_fork(monkeypatch, 4)
+        # Of the 12 trials, 5 and 10 raise: the command stops at trial 5.
         args = ("sweep", "--n-list", "4,6", "--k-list", "2,3", "--trials", "3",
                 "--seed", "7", "--scheduler", "random")
-        for count in (1, 2, 3):
-            use_cpus(monkeypatch, count)
-            code, out, err = run_cli(capsys, *args)
-            assert (code, out) == (EXIT_VIOLATION, "")
-            assert err == ("invariant violation: kets moved without an exchange "
-                           "flag (step 1, pair (2, 3), AgentState(bra=0, ket=0, "
-                           "out=0) x AgentState(bra=2, ket=1, out=2) -> "
-                           "AgentState(bra=0, ket=1, out=0) x AgentState(bra=2, "
-                           "ket=0, out=2))\n")
-
-    @pytest.mark.parametrize("status", [0, 1])
-    @pytest.mark.parametrize("module, name, args", [
-        (cli, "run", ("sweep", "--n-list", "4", "--k-list", "2",
-                      "--trials", "3")),
-        (verify, "checked_run", ("verify", "--n-max", "3", "--k-max", "2")),
-    ], ids=["sweep", "verify"])
-    def test_a_worker_that_exits_early_fails_the_command(
-            self, capsys, monkeypatch, status, module, name, args):
-        parent = os.getpid()
-        original = getattr(module, name)
-
-        def exit_in_a_worker(*call_args, **kwargs):
-            if os.getpid() != parent:
-                os._exit(status)
-            return original(*call_args, **kwargs)
-
-        monkeypatch.setattr(module, name, exit_in_a_worker)
-        use_cpus(monkeypatch, 3)
         code, out, err = run_cli(capsys, *args)
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: worker 1 of 3 exited without its complete result\n"
-
-    @pytest.mark.parametrize("args, forks", [
-        (("verify", "--n-max", "1", "--k-max", "1"), 0),
-        (("verify", "--n-max", "2", "--k-max", "1"), 1),
-        (("verify", "--n-max", "5", "--k-max", "4", "--instances", "2"), 1),
-        (("sweep", "--n-list", "4", "--k-list", "2", "--trials", "1"), 0),
-        (("sweep", "--n-list", "4", "--k-list", "2,3", "--trials", "1"), 1),
-        (("sweep", "--n-list", "4,5", "--k-list", "2", "--trials", "2"), 2),
-    ])
-    def test_forks_no_worker_that_would_get_no_item(self, capsys, monkeypatch,
-                                                    args, forks):
-        counted = use_cpus(monkeypatch, 3)
-        code, _, err = run_cli(capsys, *args)
-        assert (code, err, len(counted)) == (EXIT_OK, "", forks)
-
-    def test_ignores_the_warning_python_3_12_gives_on_a_threaded_fork(
-            self, capsys, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        fork = os.fork
-
-        def warning_fork():
-            pid = fork()
-            if pid:
-                warnings.warn(f"This process (pid={os.getpid()}) is "
-                              f"multi-threaded, use of fork() may lead to "
-                              f"deadlocks in the child.", DeprecationWarning,
-                              stacklevel=2)
-            return pid
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        args = ("verify", "--n-max", "3", "--k-max", "2")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run_cli(capsys, *args)[0] == EXIT_OK
-
-    def test_merges_by_position_and_raises_the_first_error_met(self,
-                                                               monkeypatch):
-        use_cpus(monkeypatch, 3)
-
-        def square_odd(item):
-            if item in failing:
-                raise ValueError(f"item {item}")
-            return os.getpid(), item * item if item % 2 else None
-
-        def items():
-            yield from range(stream_length)
-            raise KeyError("stream")
-
-        failing, stream_length = (), 10
-        with pytest.raises(KeyError):
-            _spread(items, square_odd, 10)
-        failing = (4, 8)
-        with pytest.raises(ValueError, match="^item 4$"):
-            _spread(items, square_odd, 10)
-        # The stream fails to yield position 4 before any item fails.
-        stream_length = 4
-        with pytest.raises(KeyError):
-            _spread(items, square_odd, 10)
-        stream_length = 5
-        with pytest.raises(ValueError, match="^item 4$"):
-            _spread(items, square_odd, 10)
-        failing = ()
-        pids, squares = zip(*_spread(lambda: range(10), square_odd, 10))
-        assert squares == (None, 1, None, 9, None, 25, None, 49, None, 81)
-        # This process runs positions 0, 3, 6, 9 and each worker its own.
-        by_process = {}
-        for position, pid in enumerate(pids):
-            by_process.setdefault(pid, []).append(position)
-        assert by_process.pop(os.getpid()) == [0, 3, 6, 9]
-        assert sorted(by_process.values()) == [[1, 4, 7], [2, 5, 8]]
+        assert (code, out) == (EXIT_VIOLATION, "")
+        assert err == ("invariant violation: kets moved without an exchange "
+                       "flag (step 1, pair (2, 3), AgentState(bra=0, ket=0, "
+                       "out=0) x AgentState(bra=2, ket=1, out=2) -> "
+                       "AgentState(bra=0, ket=1, out=0) x AgentState(bra=2, "
+                       "ket=0, out=2))\n")
 
 
 class TestProcessLevel:

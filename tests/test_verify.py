@@ -1,5 +1,6 @@
 """Unit tests for instance enumeration and the verification battery."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -203,6 +204,25 @@ class TestVerifyBattery:
         instances = list(enumerate_instances(5, 3))
         assert verify_battery(instances).ok
         assert len(calls) == sum(len(colors) for _, colors in instances) == 125
+
+    def test_memory_does_not_grow_with_the_instance_count(self):
+        # The battery tallies one instance at a time, so ten times the
+        # instances must not raise its peak.
+        def peak_over(count):
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = verify_battery((1, (0,)) for _ in range(count))
+            _, peak = tracemalloc.get_traced_memory()
+            assert report.ok and report.instances == count
+            return peak - start
+
+        tracemalloc.start()
+        try:
+            peak_over(100)      # fills the k = 1 tables
+            few, many = peak_over(2_000), peak_over(20_000)
+        finally:
+            tracemalloc.stop()
+        assert many - few < 100 * 1024
 
 
 class TestReachableStateSet:
