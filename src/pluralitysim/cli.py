@@ -38,7 +38,7 @@ import numpy as np
 from .engine import (FixedSteps, InvariantViolation, RunTrace, UntilQuiescent,
                      init_configuration, run)
 from .oracle import brute_majority
-from .schedulers import make_scheduler
+from .schedulers import _MAX_AGENTS, make_scheduler
 from .verify import enumerate_instances, random_instance, verify_battery
 
 EXIT_OK = 0
@@ -80,6 +80,9 @@ def parse_color_list(text: str) -> list[int]:
             raise UsageError(f"cannot parse color token {token!r}") from None
         if c < 0 or m < 0:
             raise UsageError(f"negative value in color token {token!r}")
+        if len(colors) + m > _MAX_AGENTS:
+            raise UsageError(f"color token {token!r} takes the population "
+                             f"above {_MAX_AGENTS} agents")
         colors.extend([c] * m)
     if not colors:
         raise UsageError("empty color list")

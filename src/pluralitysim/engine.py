@@ -9,8 +9,7 @@ entries). An entry holds the two new bra-kets, whether the kets were
 exchanged and the color a post-swap self-loop broadcasts (or -1), so the
 out fields follow in a few integer operations. There is one table per
 process for each k and interaction rule. AgentStates exist only where a
-code is shown: each code is decoded once per process for each k, and
-every view, trace and error that shows it shares the one object.
+code is shown: each view, trace and error decodes it by arithmetic.
 
 Two runtime invariants hold for every transition of the rule: the global
 bra-ket balance (safety) and the strict lexicographic drop of the sorted
@@ -77,7 +76,7 @@ class Configuration:
 
     @property
     def states(self) -> tuple[AgentState, ...]:
-        """The agents' decoded states, one shared object per code."""
+        """The agents' decoded states, one new AgentState per agent."""
         k = self.k
         return tuple([_state(code, k) for code in self.codes])
 
@@ -267,9 +266,6 @@ BATCH = 4096  # most scheduler pairs fetched and applied at a time
 # another's entries.
 _TABLES: dict[tuple, dict[int, tuple[int, int, bool, int]]] = {}
 
-# k -> {code: its AgentState}, filled by _state; at most k**3 entries per k.
-_STATES: dict[int, dict[int, AgentState]] = {}
-
 
 def _table(k: int) -> dict[int, tuple[int, int, bool, int]]:
     """The checked transition table of this k, for the current rule."""
@@ -302,14 +298,9 @@ def _post(entry: tuple[int, int, bool, int], a: int, b: int,
 
 
 def _state(code: int, k: int) -> AgentState:
-    """The AgentState of an unchecked code, one shared object per code and k."""
-    try:
-        return _STATES[k][code]
-    except KeyError:
-        bra_ket, out = divmod(code, k)
-        state = AgentState(bra_ket // k, bra_ket % k, out)
-        _STATES.setdefault(k, {})[code] = state
-        return state
+    """The AgentState of an unchecked code."""
+    bra_ket, out = divmod(code, k)
+    return AgentState(bra_ket // k, bra_ket % k, out)
 
 
 def _checked(key: int, k: int,

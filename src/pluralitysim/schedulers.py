@@ -18,8 +18,6 @@ Every scheduler turns pair ranks into pairs through one function. A
 population with at most 4096 pairs (n <= 91) reads them from a table of
 all its pairs, built on first use and kept for the process; larger
 populations compute them in closed form, which is exact up to n = 3*10**9.
-A round-robin span that stays inside one round of a tabled population
-is copied from a slice of that table instead.
 """
 
 from __future__ import annotations
@@ -74,10 +72,9 @@ def pair_index(pair: AgentPair, n: int) -> int:
 
 def _check_span(start: int, count: int, n: int) -> tuple[int, int, int]:
     # Validates a pairs() request; returns start, count and the number of
-    # canonical pairs as plain ints. Plain non-negative ints pass at once.
-    if not (type(start) is type(count) is int and start >= 0 and count >= 0):
-        start = _count(start, "step index")
-        count = _count(count, "pair count")
+    # canonical pairs as plain ints.
+    start = _count(start, "step index")
+    count = _count(count, "pair count")
     total = n * (n - 1) // 2
     if total == 0:
         raise ValueError(f"scheduler needs at least two agents, got n={n}")
@@ -87,23 +84,17 @@ def _check_span(start: int, count: int, n: int) -> tuple[int, int, int]:
 def _pairs_from_indices(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The canonical pairs of an array of valid indices, as (firsts, seconds).
 
-    Read from the population's pair table when it has at most
-    _TABLE_PAIRS pairs, else computed in closed form. The arrays are new
-    either way, never views of a table.
+    Read from the population's pair table, built on first use, when it
+    has at most _TABLE_PAIRS pairs, else computed in closed form. The
+    arrays are new either way, never views of a table.
     """
-    if n * (n - 1) // 2 > _TABLE_PAIRS:
+    total = n * (n - 1) // 2
+    if total > _TABLE_PAIRS:
         return _closed_form(index, n)
-    firsts, seconds = _pair_table(n)
-    return firsts[index], seconds[index]
-
-
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All pairs of a tabled population, built on first use."""
     table = _PAIR_TABLES.get(n)
     if table is None:
-        table = _PAIR_TABLES[n] = _closed_form(
-            np.arange(pair_count(n), dtype=np.int64), n)
-    return table
+        table = _PAIR_TABLES[n] = _closed_form(np.arange(total, dtype=np.int64), n)
+    return table[0][index], table[1][index]
 
 
 def _closed_form(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +139,6 @@ class RoundRobin(_Schedule):
     def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
         start, count, total = _check_span(start, count, self.n)
-        offset = start % total
-        if total <= _TABLE_PAIRS and offset + count <= total:
-            # A span inside one round is a copied slice of the pair table.
-            firsts, seconds = _pair_table(self.n)
-            span = slice(offset, offset + count)
-            return firsts[span].copy(), seconds[span].copy()
         return _pairs_from_indices(_cycle(start, count, total), self.n)
 
 

@@ -13,7 +13,7 @@ whose search applies the engine's checked transitions at full assertions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
@@ -57,26 +57,22 @@ def _greatest_rotations(n: int, k: int):
                 yield vector
 
 
-def enumerate_instances(n_max: int, k_max: int, up_to_symmetry: bool = True):
+def enumerate_instances(n_max: int, k_max: int):
     """Yield every instance (k, colors) with 1 <= n <= n_max, 1 <= k <= k_max.
 
     Colors come as sorted tuples (agent order never affects the checked
     properties, only the step-by-step schedule), in the order of
-    combinations_with_replacement for each k and n. With up_to_symmetry,
-    rotation-equivalent multisets are yielded once: a multiset is yielded
-    exactly when it is its orbit's least sorted rotation, that is when no
-    rotation of its count vector is greater. Both bounds follow the rule
-    of counts, checked as iteration starts; a bound of 0 yields nothing.
+    combinations_with_replacement for each k and n. Rotation-equivalent
+    multisets are yielded once: a multiset is yielded exactly when it is
+    its orbit's least sorted rotation, that is when no rotation of its
+    count vector is greater. Both bounds follow the rule of counts,
+    checked as iteration starts; a bound of 0 yields nothing.
     """
     n_max, k_max = _count(n_max, "n_max"), _count(k_max, "k_max")
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
-            if up_to_symmetry:
-                for counts in _greatest_rotations(n, k):
-                    yield k, tuple([c for c, m in enumerate(counts) for _ in range(m)])
-            else:
-                for combo in combinations_with_replacement(range(k), n):
-                    yield k, combo
+            for counts in _greatest_rotations(n, k):
+                yield k, tuple([c for c, m in enumerate(counts) for _ in range(m)])
 
 
 def random_instance(rng: np.random.Generator, n_max: int, k_max: int):

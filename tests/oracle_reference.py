@@ -140,20 +140,27 @@ def least_sorted_rotation(colors, k):
     return min(tuple(sorted((c + r) % k for c in colors)) for r in range(k))
 
 
-def instances_by_filter(n_max, k_max):
-    """enumerate_instances(n_max, k_max) by filtering every sorted multiset.
-
-    Keeps a multiset when color 0 is among its most frequent colors and no
-    rotation of its count vector is lexicographically greater, in the
-    order of combinations_with_replacement for each k and n.
-    """
+def all_instances(n_max, k_max):
+    """Every instance (k, colors) with 1 <= n <= n_max, 1 <= k <= k_max, no
+    symmetry reduction: the sorted multisets in the order of
+    combinations_with_replacement for each k and n."""
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             for combo in combinations_with_replacement(range(k), n):
-                counts = [combo.count(c) for c in range(k)]
-                if max(counts) == counts[0] and all(
-                        counts[r:] + counts[:r] <= counts for r in range(k)):
-                    yield k, combo
+                yield k, combo
+
+
+def instances_by_filter(n_max, k_max):
+    """enumerate_instances(n_max, k_max) by filtering all_instances.
+
+    Keeps a multiset when color 0 is among its most frequent colors and no
+    rotation of its count vector is lexicographically greater.
+    """
+    for k, combo in all_instances(n_max, k_max):
+        counts = [combo.count(c) for c in range(k)]
+        if max(counts) == counts[0] and all(
+                counts[r:] + counts[:r] <= counts for r in range(k)):
+            yield k, combo
 
 
 def greedy_drain(input_colors):

@@ -14,7 +14,8 @@ import time
 
 import numpy as np
 
-from oracle_reference import all_states, braket_balanced, greedy_drain
+from oracle_reference import (all_instances, all_states, braket_balanced,
+                              greedy_drain)
 from pluralitysim.engine import UntilQuiescent, init_configuration, run
 from pluralitysim.oracle import brute_majority, greedy_partition
 from pluralitysim.schedulers import StarvationAdversary, pair_from_index
@@ -80,7 +81,7 @@ def test_criterion_2_randomized_instances(capsys):
 def test_criterion_3_state_space_containment(capsys):
     def check():
         instances = 0
-        for k, colors in enumerate_instances(4, 4, up_to_symmetry=False):
+        for k, colors in all_instances(4, 4):
             enumeration = set(all_states(k))
             assert len(enumeration) == k**3
             reached = reachable_state_set(colors, k)
@@ -118,7 +119,7 @@ def test_criterion_4_safety_under_unfairness(capsys):
 def test_criterion_5_closed_forms_vs_references(capsys):
     def check():
         instances = 0
-        for k, colors in enumerate_instances(8, 5, up_to_symmetry=False):
+        for k, colors in all_instances(8, 5):
             partition = greedy_partition(colors)
             assert list(partition) == greedy_drain(colors)
             deepest = partition[-1]

@@ -48,6 +48,14 @@ class TestParseColorList:
         assert (code, out, err) == (
             EXIT_USAGE, "", "error: cannot parse color token '0:'\n")
 
+    def test_a_count_above_the_agent_limit_is_a_usage_error(self, capsys):
+        # The count is refused before a list of that length is built.
+        code, out, err = run_cli(capsys, "run", "--colors",
+                                 "1,0:99999999999999999999")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: color token '0:99999999999999999999' takes "
+            "the population above 3000000000 agents\n")
+
 
 class TestRunCommand:
     def test_majority_run_metrics_document(self, capsys):
@@ -637,7 +645,7 @@ def forbid_fork(monkeypatch, count):
     monkeypatch.setattr(os, "fork", fork, raising=False)
 
 
-class TestSpread:
+class TestInProcess:
     """verify and sweep run every instance and trial in the calling
     process, however many CPUs it may use."""
 
@@ -652,8 +660,8 @@ class TestSpread:
           "--seed", "2", "--format", "json-lines"), EXIT_OK),
     ], ids=["verify-exhaustive", "verify-sampled", "sweep-random-csv",
             "sweep-roundrobin-json-lines"])
-    def test_outputs_do_not_depend_on_the_cpu_count(self, capsys, monkeypatch,
-                                                    tmp_path, args, code):
+    def test_outputs_come_from_the_calling_process(self, capsys, monkeypatch,
+                                                   tmp_path, args, code):
         forbid_fork(monkeypatch, 4)
         path = tmp_path / "out"
         code_printed, out, err = run_cli(capsys, *args)
@@ -663,7 +671,7 @@ class TestSpread:
         if args[0] == "verify":
             assert out.count("\nFAIL ") > 1
 
-    def test_a_raising_trial_gives_the_sequential_error_for_any_cpu_count(
+    def test_a_raising_trial_stops_the_command_at_that_trial(
             self, capsys, monkeypatch):
         def lose_the_flag(a, b, k):
             # at k = 3, an exchange between bras 0 and 2 claims it was none

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import (braket_balanced, exhaustive_quiescent_outcomes,
-                              greedy_drain, is_exchange_stable, potential_less,
+from oracle_reference import (all_instances, braket_balanced,
+                              exhaustive_quiescent_outcomes, greedy_drain,
+                              is_exchange_stable, potential_less,
                               stable_multiset_by_layers)
 from pluralitysim.oracle import (_layer_arcs, brute_majority,
                                  circle_braket_set, greedy_partition,
                                  predicted_stable_multiset)
-from pluralitysim.verify import enumerate_instances
 
 
 @st.composite
@@ -84,7 +84,7 @@ class TestPredictedStableMultiset:
 
     def test_equals_the_per_layer_sum_on_every_small_multiset(self):
         instances = 0
-        for k, colors in enumerate_instances(8, 5, up_to_symmetry=False):
+        for k, colors in all_instances(8, 5):
             assert predicted_stable_multiset(colors) == (
                 stable_multiset_by_layers(colors)), (k, colors)
             instances += 1
@@ -133,7 +133,7 @@ class TestLayerArcs:
         # arcs against those of the prediction, and the deepest layer's
         # least bra and size against counting.
         instances = 0
-        for k, colors in enumerate_instances(8, 6, up_to_symmetry=False):
+        for k, colors in all_instances(8, 6):
             layers = _layer_arcs(colors)
             encoded = sorted(g * k + h for layer in layers for g, h in layer)
             reference = stable_multiset_by_layers(colors)

