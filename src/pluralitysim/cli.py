@@ -68,6 +68,13 @@ def _check_flag(flag: str, value: int | None, positive: bool = False):
         raise UsageError(f"{flag} must be {kind}, got {value}")
 
 
+def _check_agents(flag: str, value: int):
+    """Usage error naming the flag if value is more agents than a
+    population may hold (schedulers._MAX_AGENTS); checked before any draw."""
+    if value > _MAX_AGENTS:
+        raise UsageError(f"{flag} must be at most {_MAX_AGENTS}, got {value}")
+
+
 def parse_color_list(text: str) -> list[int]:
     """Colors from inline text: "0,1,1" or "0:3, 1:2" (color:count)."""
     colors: list[int] = []
@@ -198,6 +205,7 @@ def resolve_inputs(args: argparse.Namespace) -> tuple[list[int], int]:
         return colors, k
     if args.n is None or args.n < 1:
         raise UsageError("--random-colors needs --n >= 1")
+    _check_agents("--n", args.n)
     rng = np.random.default_rng([args.seed, 0])
     return make_random_colors(args.random_colors, args.n, args.k, rng)
 
@@ -380,6 +388,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_flag("--n-max", args.n_max, positive=True)
+    _check_agents("--n-max", args.n_max)
     _check_flag("--k-max", args.k_max, positive=True)
     _check_flag("--instances", args.instances, positive=True)
     _check_flag("--cap", args.cap)
@@ -401,6 +410,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     n_values = parse_size_list("--n-list", args.n_list)
+    _check_agents("--n-list", max(n_values))
     k_values = parse_size_list("--k-list", args.k_list)
     _check_flag("--trials", args.trials, positive=True)
     _check_flag("--cap", args.cap)

@@ -5,11 +5,13 @@ code s = (bra*k + ket)*k + out in [0, k**3). run() applies scheduler
 pairs in order to those codes until quiescence or a cap, collecting
 metrics and an optional trace. Each interaction is a lookup in a
 transition table keyed on the two agents' bra-ket pairs (at most k**4
-entries). An entry holds the two new bra-kets, whether the kets were
-exchanged and the color a post-swap self-loop broadcasts (or -1), so the
-out fields follow in a few integer operations. There is one table per
-process for each k and interaction rule. AgentStates exist only where a
-code is shown: each view, trace and error decodes it by arithmetic.
+entries). An entry is what the rule protocol._braket_rule gives for the
+two bra-kets: the two new bra-kets, whether the kets were exchanged and
+the color a post-swap self-loop broadcasts (or -1), so the out fields
+follow in a few integer operations. There is one table per process for
+each k and rule; a rule patched in as this module's _braket_rule gets
+tables of its own. AgentStates exist only where a code is shown: each
+view, trace and error decodes it by arithmetic.
 
 Two runtime invariants hold for every transition of the rule: the global
 bra-ket balance (safety) and the strict lexicographic drop of the sorted
@@ -30,8 +32,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .protocol import (AgentState, _count, _integer, _interact, _weight,
-                       check_color, check_k)
+# _interact is not called here; bench/tracer.py hooks it by this name.
+from .protocol import (AgentState, _braket_rule, _count, _integer, _interact,
+                       _weight, check_color, check_k)
 from .schedulers import AgentPair, Scheduler
 
 
@@ -269,23 +272,18 @@ _TABLES: dict[tuple, dict[int, tuple[int, int, bool, int]]] = {}
 
 def _table(k: int) -> dict[int, tuple[int, int, bool, int]]:
     """The checked transition table of this k, for the current rule."""
-    return _TABLES.setdefault((k, _interact), {})
+    return _TABLES.setdefault((k, _braket_rule), {})
 
 
 def _transition(key: int, k: int) -> tuple[int, int, bool, int]:
     """Table entry for key = (bra_a*k + ket_a)*k*k + bra_b*k + ket_b.
 
     Returns (new bra-ket of a times k, new bra-ket of b times k, exchanged,
-    broadcast color or -1). The rule is probed with outs 0 and 1: no
-    broadcast leaves both unchanged, so out_changed tells whether one
-    happened. With k = 1 every out is 0 and a broadcast changes nothing.
+    broadcast color or -1): the rule's result on the two bra-kets, scaled
+    so that adding an out gives a code.
     """
-    bra_ket_a, bra_ket_b = divmod(key, k * k)
-    result = _interact(AgentState(bra_ket_a // k, bra_ket_a % k, 0),
-                       AgentState(bra_ket_b // k, bra_ket_b % k, 1 % k), k)
-    a, b = result.a, result.b
-    return ((a.bra * k + a.ket) * k, (b.bra * k + b.ket) * k,
-            result.exchanged, a.out if result.out_changed else -1)
+    new_g, new_h, exchanged, loop = _braket_rule(*divmod(key, k * k), k)
+    return new_g * k, new_h * k, exchanged, loop
 
 
 def _post(entry: tuple[int, int, bool, int], a: int, b: int,

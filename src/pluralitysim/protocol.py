@@ -8,6 +8,12 @@ weighs the full k. When two agents interact they first swap kets if that
 strictly lowers the smaller of their two weights, then any self-loop among
 the resulting pair broadcasts its color into both out fields.
 
+The rule reads only the two bra-kets, so it is defined once, on bra-ket
+indices bra*k + ket: _braket_rule gives the new bra-kets, whether the
+kets were exchanged and the broadcast color (or -1). The engine fills its
+transition tables from it, and apply_interaction derives full states from
+it by writing the broadcast color, if any, into both outs.
+
 Everything in this module is a pure function of its arguments; populations
 and sequencing live in the engine module.
 """
@@ -106,29 +112,32 @@ def init_agent(input_color: int, k: int) -> AgentState:
     return AgentState(color, color, color)
 
 
-def _interact(a: AgentState, b: AgentState, k: int) -> InteractionResult:
+def _braket_rule(g: int, h: int, k: int) -> tuple[int, int, bool, int]:
+    # The rule on two bra-kets g and h, each bra*k + ket: returns their new
+    # bra-kets, whether the kets were exchanged and the color a post-swap
+    # self-loop broadcasts, or -1 if there is none.
+    bra_g, ket_g = divmod(g, k)
+    bra_h, ket_h = divmod(h, k)
     # Step 1: swap kets iff the smaller of the two weights strictly drops.
-    kept = min(_weight(a.bra, a.ket, k), _weight(b.bra, b.ket, k))
-    swapped = min(_weight(a.bra, b.ket, k), _weight(b.bra, a.ket, k))
-    exchanged = swapped < kept
-    if exchanged:
-        a, b = AgentState(a.bra, b.ket, a.out), AgentState(b.bra, a.ket, b.out)
-
-    # Step 2, on the post-swap states: a self-loop broadcasts its color.
-    # The two states can never be self-loops of different colors here: two
+    exchanged = (min(_weight(bra_g, ket_h, k), _weight(bra_h, ket_g, k))
+                 < min(_weight(bra_g, ket_g, k), _weight(bra_h, ket_h, k)))
+    ket_g, ket_h = (ket_h, ket_g) if exchanged else (ket_g, ket_h)
+    # Step 2, on the post-swap bra-kets: a self-loop broadcasts its color.
+    # The two can never be self-loops of different colors here: two
     # distinct self-loops always profit from swapping (k, k -> both < k),
     # and a swap that created two distinct self-loops would have raised the
     # minimum weight to k and therefore never happens.
-    loop = None
-    if a.bra == a.ket:
-        loop = a.bra
-    elif b.bra == b.ket:
-        loop = b.bra
-    out_changed = loop is not None and (a.out != loop or b.out != loop)
-    if out_changed:
-        a = AgentState(a.bra, a.ket, loop)
-        b = AgentState(b.bra, b.ket, loop)
-    return InteractionResult(a, b, exchanged, out_changed)
+    loop = bra_g if bra_g == ket_g else bra_h if bra_h == ket_h else -1
+    return bra_g * k + ket_g, bra_h * k + ket_h, exchanged, loop
+
+
+def _interact(a: AgentState, b: AgentState, k: int) -> InteractionResult:
+    # The rule on full states: the outs become the broadcast color, if any.
+    g, h, exchanged, loop = _braket_rule(a.bra * k + a.ket, b.bra * k + b.ket, k)
+    out_a, out_b = (a.out, b.out) if loop < 0 else (loop, loop)
+    return InteractionResult(AgentState(*divmod(g, k), out_a),
+                             AgentState(*divmod(h, k), out_b), exchanged,
+                             out_a != a.out or out_b != b.out)
 
 
 def apply_interaction(a: AgentState, b: AgentState, k: int) -> InteractionResult:

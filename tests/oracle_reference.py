@@ -7,7 +7,9 @@ kets, the set of quiescent outcomes by exhaustive search over every
 schedule, the reachable agent states by the same search over decoded
 states, the predicted stable multiset as a sum of per-layer Counters, a
 single interaction step through the validated public rule instead of
-the engine's transition table, the runtime invariants and
+the engine's transition table, the interaction rule written directly on
+full (bra, ket, out) states instead of on bra-kets, the runtime
+invariants and
 the sorted weight vector on decoded states instead of on table entries,
 the least rotation of a color multiset by sorting every rotation
 instead of comparing count vectors, and the rotation-reduced instances
@@ -21,8 +23,9 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 
 from pluralitysim.engine import Configuration, TraceEvent
-from pluralitysim.protocol import (AgentState, apply_interaction, check_k,
-                                   validate_state, weight)
+from pluralitysim.protocol import (AgentState, InteractionResult, _weight,
+                                   apply_interaction, check_k, validate_state,
+                                   weight)
 
 
 def all_states(k):
@@ -38,6 +41,34 @@ def configuration(k, states):
     states = [validate_state(s, k) for s in states]
     return Configuration(k, tuple((s.bra * k + s.ket) * k + s.out
                                   for s in states))
+
+
+def reference_interaction(a, b, k):
+    """The interaction rule on two full states, unvalidated: swap kets iff
+    the smaller weight strictly drops, then a post-swap self-loop writes
+    its color into both outs. Returns an InteractionResult."""
+    # Step 1: swap kets iff the smaller of the two weights strictly drops.
+    kept = min(_weight(a.bra, a.ket, k), _weight(b.bra, b.ket, k))
+    swapped = min(_weight(a.bra, b.ket, k), _weight(b.bra, a.ket, k))
+    exchanged = swapped < kept
+    if exchanged:
+        a, b = AgentState(a.bra, b.ket, a.out), AgentState(b.bra, a.ket, b.out)
+
+    # Step 2, on the post-swap states: a self-loop broadcasts its color.
+    # The two states can never be self-loops of different colors here: two
+    # distinct self-loops always profit from swapping (k, k -> both < k),
+    # and a swap that created two distinct self-loops would have raised the
+    # minimum weight to k and therefore never happens.
+    loop = None
+    if a.bra == a.ket:
+        loop = a.bra
+    elif b.bra == b.ket:
+        loop = b.bra
+    out_changed = loop is not None and (a.out != loop or b.out != loop)
+    if out_changed:
+        a = AgentState(a.bra, a.ket, loop)
+        b = AgentState(b.bra, b.ket, loop)
+    return InteractionResult(a, b, exchanged, out_changed)
 
 
 def potential_less(weights_a, weights_b) -> bool:

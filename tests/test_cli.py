@@ -16,7 +16,7 @@ from pluralitysim.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE,
                               EXIT_VIOLATION, METRICS_FIELDS, SWEEP_FIELDS,
                               TRACE_FIELDS, main, parse_color_list)
 from pluralitysim.engine import init_configuration, run
-from pluralitysim.protocol import AgentState, InteractionResult, _interact
+from pluralitysim.protocol import _braket_rule
 from pluralitysim.schedulers import RoundRobin
 
 
@@ -509,6 +509,32 @@ class TestBudgetFlags:
         assert out == ""
 
 
+class TestPopulationFlags:
+    @pytest.mark.parametrize("args, flag", [
+        (("run", "--random-colors", "uniform", "--n", "3000000001", "--k",
+          "2"), "--n"),
+        (("sweep", "--n-list", "6,3000000001", "--k-list", "2", "--trials",
+          "1"), "--n-list"),
+        (("verify", "--n-max", "3000000001", "--k-max", "2", "--instances",
+          "1"), "--n-max"),
+        (("verify", "--n-max", "3000000001", "--k-max", "2"), "--n-max"),
+    ], ids=["run-n", "sweep-n-list", "verify-sampled", "verify-exhaustive"])
+    def test_a_size_above_the_agent_limit_is_a_usage_error_before_any_draw(
+            self, capsys, monkeypatch, args, flag):
+        # numpy would allocate the colors before any later check saw n
+        monkeypatch.setattr(cli, "np", None)   # any draw would raise
+        monkeypatch.setattr(cli, "verify_battery", None)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out, err) == (
+            EXIT_USAGE, "",
+            f"error: {flag} must be at most 3000000000, got 3000000001\n")
+
+
+def _bump_ket(g, h, k):
+    # a rule that changes the ket multiset at every step: g's ket moves on
+    return g // k * k + (g % k + 1) % k, h, True, -1
+
+
 class TestInvariantViolations:
     @pytest.mark.parametrize("args", [
         ("run", "--colors", "0,1,1"),
@@ -516,12 +542,7 @@ class TestInvariantViolations:
     ])
     def test_exit_4_with_the_violation_on_stderr(self, capsys, monkeypatch,
                                                  args):
-        def bump_ket(a, b, k):
-            # changes the ket multiset at every step
-            return InteractionResult(AgentState(a.bra, (a.ket + 1) % k, a.out),
-                                     b, True, False)
-
-        monkeypatch.setattr("pluralitysim.engine._interact", bump_ket)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", _bump_ket)
         code, out, err = run_cli(capsys, *args)
         assert code == EXIT_VIOLATION
         assert err.startswith("invariant violation: interaction changed "
@@ -547,14 +568,13 @@ class TestRunTrace:
             self, capsys, monkeypatch, tmp_path):
         fills = []
 
-        def late_bump_ket(a, b, k):
+        def late_bump_ket(g, h, k):
             # the shipped rule for the first ten table fills, then a rule
             # that changes the ket multiset
-            fills.append((a, b))
+            fills.append((g, h))
             if len(fills) <= 10:
-                return _interact(a, b, k)
-            return InteractionResult(AgentState(a.bra, (a.ket + 1) % k, a.out),
-                                     b, True, False)
+                return _braket_rule(g, h, k)
+            return _bump_ket(g, h, k)
 
         batches = []
         trace_sink = cli._trace_sink
@@ -563,7 +583,7 @@ class TestRunTrace:
             sink = trace_sink(*args)
             return lambda records: (batches.append(len(records)), sink(records))
 
-        monkeypatch.setattr("pluralitysim.engine._interact", late_bump_ket)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", late_bump_ket)
         monkeypatch.setattr("pluralitysim.engine.BATCH", 4)
         monkeypatch.setattr(cli, "_trace_sink", counted_sink)
         trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "m.jsonl"
@@ -673,14 +693,14 @@ class TestInProcess:
 
     def test_a_raising_trial_stops_the_command_at_that_trial(
             self, capsys, monkeypatch):
-        def lose_the_flag(a, b, k):
+        def lose_the_flag(g, h, k):
             # at k = 3, an exchange between bras 0 and 2 claims it was none
-            result = _interact(a, b, k)
-            if k == 3 and result.exchanged and {a.bra, b.bra} == {0, 2}:
-                return result._replace(exchanged=False)
-            return result
+            new_g, new_h, exchanged, loop = _braket_rule(g, h, k)
+            if k == 3 and exchanged and {g // k, h // k} == {0, 2}:
+                return new_g, new_h, False, loop
+            return new_g, new_h, exchanged, loop
 
-        monkeypatch.setattr("pluralitysim.engine._interact", lose_the_flag)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", lose_the_flag)
         forbid_fork(monkeypatch, 4)
         # Of the 12 trials, 5 and 10 raise: the command stops at trial 5.
         args = ("sweep", "--n-list", "4,6", "--k-list", "2,3", "--trials", "3",

@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 
 from oracle_reference import (all_states, configuration, full_violation,
                               potential_less, quiescent_by_pairs,
-                              safety_violation, sorted_weights, step)
+                              reference_interaction, safety_violation,
+                              sorted_weights, step)
 from pluralitysim import engine, protocol
 from pluralitysim.engine import (Configuration, FixedSteps,
                                  InvariantViolation, RunTrace, TraceEvent,
                                  UntilQuiescent, _check_full, _check_safety,
                                  init_configuration, is_quiescent, run)
 from pluralitysim.oracle import predicted_stable_multiset
-from pluralitysim.protocol import (AgentState, InteractionResult, _interact,
-                                   apply_interaction)
+from pluralitysim.protocol import AgentState, _braket_rule, apply_interaction
 from pluralitysim.schedulers import (RoundRobin, StarvationAdversary,
                                      make_scheduler, pair_count)
 
@@ -486,8 +486,24 @@ class TestTransitionTable:
                 assert (event.exchanged, event.out_changed) == (
                     expected.exchanged, expected.out_changed), (a, b)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_every_key_gets_the_entry_of_the_full_state_reference(self, k):
+        # The entry the reference rule gives when probed with outs 0 and 1:
+        # a broadcast changes at least one of them. At k = 1 both outs are
+        # 0, so the probe cannot see the broadcast of color 0 that the
+        # bra-ket rule names; the codes _post gives are the same.
+        for key in range(k**4):
+            g, h = divmod(key, k * k)
+            result = reference_interaction(AgentState(g // k, g % k, 0),
+                                           AgentState(h // k, h % k, 1 % k), k)
+            a, b = result.a, result.b
+            loop = a.out if result.out_changed else 0 if k == 1 else -1
+            assert engine._checked(key, k, {}) == (
+                ((a.bra * k + a.ket) * k, (b.bra * k + b.ket) * k,
+                 result.exchanged, loop), None, "full"), key
+
     def test_full_run_after_off_run_still_checks(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.engine._interact", _clobber_kets)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", _clobber_kets)
         config = init_configuration([0, 1, 1], 2)
         run(config, RoundRobin(3), FixedSteps(3), assertions="off")
         for level in ("safety", "full"):
@@ -501,10 +517,10 @@ class TestTransitionTable:
         def counting_check(key, entry, k):
             calls.append(key)
 
-        def rule(a, b, k):
-            return _interact(a, b, k)
+        def rule(g, h, k):
+            return _braket_rule(g, h, k)
 
-        monkeypatch.setattr("pluralitysim.engine._interact", rule)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", rule)
         monkeypatch.setattr("pluralitysim.engine._check_full", counting_check)
         config = init_configuration([0, 1, 1, 2, 2, 2], 3)
         run(config, RoundRobin(6), assertions="full")
@@ -522,10 +538,10 @@ class TestTransitionTable:
                 return check(*args)
             return counting_check
 
-        def rule(a, b, k):
-            return _interact(a, b, k)
+        def rule(g, h, k):
+            return _braket_rule(g, h, k)
 
-        monkeypatch.setattr("pluralitysim.engine._interact", rule)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", rule)
         for name in ("_check_safety", "_check_full"):
             monkeypatch.setattr(f"pluralitysim.engine.{name}",
                                 counted(getattr(engine, name)))
@@ -541,15 +557,14 @@ class TestTransitionTable:
                              ids=["safety-first", "full-first"])
     def test_a_transition_failing_only_the_weight_drop_raises_only_at_full(
             self, monkeypatch, levels):
-        def claims_twin_exchanges(a, b, k):
+        def claims_twin_exchanges(g, h, k):
             # flags an exchange that moves nothing when two self-loops of
             # one color meet: balanced, but the weight vector stays put
-            result = _interact(a, b, k)
-            if a.bra == a.ket == b.bra == b.ket:
-                return result._replace(exchanged=True)
-            return result
+            new_g, new_h, exchanged, loop = _braket_rule(g, h, k)
+            twins = g == h and g // k == g % k
+            return new_g, new_h, exchanged or twins, loop
 
-        monkeypatch.setattr("pluralitysim.engine._interact",
+        monkeypatch.setattr("pluralitysim.engine._braket_rule",
                             claims_twin_exchanges)
         config = init_configuration([0, 1, 1, 1], 2)
         for level in levels:
@@ -578,7 +593,7 @@ class TestTransitionTable:
                     assert _check_full(*transition) == full_violation(event, k)
 
     def test_violation_first_met_after_a_scan_names_its_step(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.engine._interact",
+        monkeypatch.setattr("pluralitysim.engine._braket_rule",
                             _moves_a_bra_between_loops)
         # the opening quiescence scan already meets the faulty pair of
         # bra-kets; the schedule reaches it at step 1
@@ -588,16 +603,16 @@ class TestTransitionTable:
 
     def test_a_scan_keeps_only_transitions_that_pass_both_checks(
             self, monkeypatch):
-        def rule(a, b, k):
-            return _interact(a, b, k)
+        def rule(g, h, k):
+            return _braket_rule(g, h, k)
 
         # self-loops 0 and 1 meet through key 3 of k = 2
         loops = init_configuration([0, 1], 2)
-        monkeypatch.setattr("pluralitysim.engine._interact",
+        monkeypatch.setattr("pluralitysim.engine._braket_rule",
                             _moves_a_bra_between_loops)
         assert not is_quiescent(loops)
         assert 3 not in engine._TABLES[(2, _moves_a_bra_between_loops)]
-        monkeypatch.setattr("pluralitysim.engine._interact", rule)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", rule)
         assert not is_quiescent(loops)
         # a settled triangle of k = 3 scans the keys of its three bra-kets
         # (0, 1), (1, 2) and (2, 0), that is 1, 5 and 6
@@ -612,18 +627,18 @@ class TestTransitionTable:
                 assert _check_full(key, entry, k) is None
 
 
-def _moves_a_bra_between_loops(a, b, k):
-    # wrong only when self-loops of colors 0 and 1 meet
-    result = _interact(a, b, k)
-    if (a.bra, a.ket, b.bra, b.ket) == (0, 0, 1, 1):
-        return result._replace(a=result.a._replace(bra=1))
-    return result
+def _moves_a_bra_between_loops(g, h, k):
+    # wrong only when self-loops of colors 0 and 1 meet: g's bra becomes 1
+    new_g, new_h, exchanged, loop = _braket_rule(g, h, k)
+    if (g, h) == (0, k + 1):
+        new_g = k + new_g % k
+    return new_g, new_h, exchanged, loop
 
 
-def _clobber_kets(a, b, k):
-    # overwrites both kets with a's bra
-    return InteractionResult(AgentState(a.bra, a.bra, a.out),
-                             AgentState(b.bra, a.bra, b.out), True, False)
+def _clobber_kets(g, h, k):
+    # overwrites both kets with the bra of g
+    bra = g // k
+    return bra * k + bra, h // k * k + bra, True, -1
 
 
 def _transition_of(pre, post, exchanged, k=2):
@@ -669,14 +684,7 @@ class TestRuntimeAssertions:
         assert _check_full(*transition) is None
 
     def test_buggy_interaction_rule_aborts_the_run(self, monkeypatch):
-        def clobber_kets(a, b, k):
-            # deliberately overwrites both kets with a's bra
-            from pluralitysim.protocol import InteractionResult
-            return InteractionResult(AgentState(a.bra, a.bra, a.out),
-                                     AgentState(b.bra, a.bra, b.out),
-                                     True, False)
-
-        monkeypatch.setattr("pluralitysim.engine._interact", clobber_kets)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", _clobber_kets)
         with pytest.raises(InvariantViolation) as info:
             run(init_configuration([0, 1, 1], 2), RoundRobin(3))
         assert info.value.step == 0

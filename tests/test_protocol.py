@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle_reference import all_states
-from pluralitysim.protocol import (AgentState, _count, _interact,
+from oracle_reference import all_states, reference_interaction
+from pluralitysim.protocol import (AgentState, _braket_rule, _count, _interact,
                                    apply_interaction, check_color, check_k,
                                    init_agent, weight)
 
@@ -175,6 +175,39 @@ class TestApplyInteraction:
                 ra, rb, _, _ = apply_interaction(a, b, k)
                 if ra.bra == ra.ket and rb.bra == rb.ket:
                     assert ra.bra == rb.bra
+
+
+class TestBraketRule:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_apply_interaction_equals_the_full_state_reference(self, k):
+        states = all_states(k)
+        for a in states:
+            for b in states:
+                assert apply_interaction(a, b, k) == (
+                    reference_interaction(a, b, k)), (a, b)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_rotation_equivariant_on_every_key(self, k):
+        # Rotating both bra-kets by r rotates the new bra-kets and a
+        # broadcast color by r and keeps the exchange flag.
+        def rotated(g, r):
+            return (g // k + r) % k * k + (g % k + r) % k
+
+        for g in range(k * k):
+            for h in range(k * k):
+                new_g, new_h, exchanged, loop = _braket_rule(g, h, k)
+                for r in range(1, k):
+                    assert _braket_rule(rotated(g, r), rotated(h, r), k) == (
+                        rotated(new_g, r), rotated(new_h, r), exchanged,
+                        -1 if loop < 0 else (loop + r) % k), (g, h, r)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_symmetric_on_every_key(self, k):
+        for g in range(k * k):
+            for h in range(k * k):
+                new_g, new_h, exchanged, loop = _braket_rule(g, h, k)
+                assert _braket_rule(h, g, k) == (new_h, new_g, exchanged,
+                                                 loop), (g, h)
 
 
 class TestAllStates:

@@ -13,7 +13,7 @@ from oracle_reference import (all_instances, all_states, instances_by_filter,
                               least_sorted_rotation, reachable_states_by_search)
 from pluralitysim import engine, protocol, verify
 from pluralitysim.engine import Configuration, InvariantViolation
-from pluralitysim.protocol import AgentState, InteractionResult
+from pluralitysim.protocol import AgentState
 from pluralitysim.verify import (checked_run, enumerate_instances,
                                  random_instance, reachable_state_set,
                                  verify_battery)
@@ -108,7 +108,7 @@ class TestCheckedRun:
         assert failure.colors == (0, 1, 1)
 
     def test_flags_invariant_violations(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.engine._interact", _clobber_kets)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", _clobber_kets)
         failure = checked_run([0, 1, 1], 2)
         assert failure is not None
         assert failure.check == "invariant"
@@ -250,14 +250,14 @@ class TestReachableStateSet:
                         reachable_states_by_search(colors, k)), (colors, k)
 
     def test_a_rule_failing_a_check_raises(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.engine._interact", _clobber_kets)
+        monkeypatch.setattr("pluralitysim.engine._braket_rule", _clobber_kets)
         with pytest.raises(InvariantViolation,
                            match="interaction changed the ket multiset") as info:
             reachable_state_set([0, 1, 1], 2)
         assert (info.value.step, info.value.pair) == (0, (0, 1))
 
 
-def _clobber_kets(a, b, k):
-    # overwrites both kets with a's bra
-    return InteractionResult(AgentState(a.bra, a.bra, a.out),
-                             AgentState(b.bra, a.bra, b.out), True, False)
+def _clobber_kets(g, h, k):
+    # overwrites both kets with the bra of g
+    bra = g // k
+    return bra * k + bra, h // k * k + bra, True, -1
