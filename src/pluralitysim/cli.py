@@ -393,8 +393,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_flag("--instances", args.instances, positive=True)
     _check_flag("--cap", args.cap)
     _check_flag("--seed", args.seed)
+    if args.instances is None and args.seed is not None:
+        raise UsageError("--seed needs --instances")
     if args.instances is not None:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(args.seed or 0)
         instances = (random_instance(rng, args.n_max, args.k_max)
                      for _ in range(args.instances))
     else:
@@ -497,7 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--instances", type=int, default=None,
                           help="sample this many random instances instead of "
                                "enumerating exhaustively")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed for the sampled instances (needs "
+                               "--instances; default 0)")
     p_verify.add_argument("--cap", type=int, default=None,
                           help="scheduling-cycle cap per instance")
     p_verify.add_argument("--out", default=None, metavar="PATH")

@@ -9,9 +9,10 @@ entries). An entry is what the rule protocol._braket_rule gives for the
 two bra-kets: the two new bra-kets, whether the kets were exchanged and
 the color a post-swap self-loop broadcasts (or -1), so the out fields
 follow in a few integer operations. There is one table per process for
-each k and rule; a rule patched in as this module's _braket_rule gets
-tables of its own. AgentStates exist only where a code is shown: each
-view, trace and error decodes it by arithmetic.
+each k and rule. The rule is looked up as protocol._braket_rule whenever
+a table is fetched or filled, so a rule patched in there gets tables of
+its own. AgentStates exist only where a code is shown: each view, trace
+and error decodes it by arithmetic.
 
 Two runtime invariants hold for every transition of the rule: the global
 bra-ket balance (safety) and the strict lexicographic drop of the sorted
@@ -32,9 +33,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import protocol
 # _interact is not called here; bench/tracer.py hooks it by this name.
-from .protocol import (AgentState, _braket_rule, _count, _integer, _interact,
-                       _weight, check_color, check_k)
+from .protocol import (AgentState, _count, _integer, _interact, _weight,
+                       check_color, check_k)
 from .schedulers import AgentPair, Scheduler
 
 
@@ -272,7 +274,7 @@ _TABLES: dict[tuple, dict[int, tuple[int, int, bool, int]]] = {}
 
 def _table(k: int) -> dict[int, tuple[int, int, bool, int]]:
     """The checked transition table of this k, for the current rule."""
-    return _TABLES.setdefault((k, _braket_rule), {})
+    return _TABLES.setdefault((k, protocol._braket_rule), {})
 
 
 def _transition(key: int, k: int) -> tuple[int, int, bool, int]:
@@ -282,7 +284,7 @@ def _transition(key: int, k: int) -> tuple[int, int, bool, int]:
     broadcast color or -1): the rule's result on the two bra-kets, scaled
     so that adding an out gives a code.
     """
-    new_g, new_h, exchanged, loop = _braket_rule(*divmod(key, k * k), k)
+    new_g, new_h, exchanged, loop = protocol._braket_rule(*divmod(key, k * k), k)
     return new_g * k, new_h * k, exchanged, loop
 
 
@@ -321,31 +323,23 @@ def _checked(key: int, k: int,
 def _settled(codes, k: int, table: dict) -> bool:
     """True iff no two agents of the coded population would change anything.
 
-    Scans the bra-ket pairs present rather than agents: an exchange
-    depends on the bra-kets alone, and a broadcast of color c changes
-    nothing only if every agent on both bra-kets already outputs c. A
-    bra-ket meets itself only when at least two agents hold it. A
-    transition the table lacks is filled through _checked; a failing one
-    answers the scan but raises nothing here.
+    Scans each unordered pair of the distinct codes present rather than
+    of agents, with the null-step test of _apply; a code meets itself
+    only when at least two agents hold it. A transition the table
+    lacks is filled through _checked; a failing one answers the scan but
+    raises nothing here.
     """
-    only_out: dict[int, int] = {}   # bra-ket -> its one out color, else -2
-    shared: set[int] = set()        # bra-kets held by at least two agents
+    shared: dict[int, bool] = {}    # code -> held by at least two agents
     for code in codes:
-        bra_ket = code // k
-        out = only_out.get(bra_ket)
-        if out is None:
-            only_out[bra_ket] = code % k
-        else:
-            shared.add(bra_ket)
-            if out != code % k:
-                only_out[bra_ket] = -2
-    present = list(only_out)
+        shared[code] = code in shared
+    present = list(shared)
     kk = k * k
-    for idx, g in enumerate(present):
-        for h in present[idx if g in shared else idx + 1:]:
-            key = g * kk + h
+    for idx, a in enumerate(present):
+        row = a // k * kk
+        for b in present[idx if shared[a] else idx + 1:]:
+            key = row + b // k
             _, _, exchanged, loop = table.get(key) or _checked(key, k, table)[0]
-            if exchanged or (loop >= 0 and not only_out[g] == only_out[h] == loop):
+            if exchanged or (loop >= 0 and not a % k == loop == b % k):
                 return False
     return True
 
@@ -499,6 +493,6 @@ def run(config: Configuration, scheduler: Scheduler,
         out_updates=out_updates,
         quiescence_step=quiescence_step,
         converged=quiescence_step is not None,
-        final_outputs=Counter([code % k for code in codes]),
+        final_outputs=final.output_counts(),
     )
     return RunResult(final, RunTrace(trace, tuple(kept), k), metrics)

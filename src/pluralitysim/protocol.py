@@ -12,7 +12,9 @@ The rule reads only the two bra-kets, so it is defined once, on bra-ket
 indices bra*k + ket: _braket_rule gives the new bra-kets, whether the
 kets were exchanged and the broadcast color (or -1). The engine fills its
 transition tables from it, and apply_interaction derives full states from
-it by writing the broadcast color, if any, into both outs.
+it by writing the broadcast color, if any, into both outs. Every reader
+looks it up by this name when it runs, so a rule patched in here reaches
+them all.
 
 Everything in this module is a pure function of its arguments; populations
 and sequencing live in the engine module.
@@ -87,10 +89,9 @@ def check_color(value: int, k: int) -> int:
 
 
 def validate_state(state: AgentState, k: int) -> AgentState:
-    check_color(state.bra, k)
-    check_color(state.ket, k)
-    check_color(state.out, k)
-    return state
+    # The state with every field checked and stored as a plain int.
+    return AgentState(check_color(state.bra, k), check_color(state.ket, k),
+                      check_color(state.out, k))
 
 
 def _weight(bra: int, ket: int, k: int) -> int:
@@ -100,10 +101,8 @@ def _weight(bra: int, ket: int, k: int) -> int:
 
 def weight(bra: int, ket: int, k: int) -> int:
     """Weight of a bra-ket: k for a self-loop, else (ket - bra) mod k."""
-    check_k(k)
-    check_color(bra, k)
-    check_color(ket, k)
-    return _weight(bra, ket, k)
+    k = check_k(k)
+    return _weight(check_color(bra, k), check_color(ket, k), k)
 
 
 def init_agent(input_color: int, k: int) -> AgentState:
@@ -147,8 +146,6 @@ def apply_interaction(a: AgentState, b: AgentState, k: int) -> InteractionResult
     whether the kets were exchanged and whether any out field changed.
     Symmetric in a and b, and deterministic.
     """
-    check_k(k)
-    validate_state(a, k)
-    validate_state(b, k)
-    return _interact(a, b, k)
+    k = check_k(k)
+    return _interact(validate_state(a, k), validate_state(b, k), k)
 

@@ -364,6 +364,13 @@ class TestVerifyCommand:
         assert code == EXIT_VIOLATION
         assert "FAIL check=termination" in out
 
+    def test_seed_without_instances_is_a_usage_error(self, capsys):
+        # an exhaustive battery draws nothing, so a seed would be ignored
+        code, out, err = run_cli(capsys, "verify", "--n-max", "3",
+                                 "--k-max", "2", "--seed", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --seed needs --instances\n"
+
     def test_instance_count_must_be_positive(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n-max", "3", "--k-max", "3",
                              "--instances", "0")
@@ -542,7 +549,7 @@ class TestInvariantViolations:
     ])
     def test_exit_4_with_the_violation_on_stderr(self, capsys, monkeypatch,
                                                  args):
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", _bump_ket)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", _bump_ket)
         code, out, err = run_cli(capsys, *args)
         assert code == EXIT_VIOLATION
         assert err.startswith("invariant violation: interaction changed "
@@ -583,7 +590,7 @@ class TestRunTrace:
             sink = trace_sink(*args)
             return lambda records: (batches.append(len(records)), sink(records))
 
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", late_bump_ket)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", late_bump_ket)
         monkeypatch.setattr("pluralitysim.engine.BATCH", 4)
         monkeypatch.setattr(cli, "_trace_sink", counted_sink)
         trace_path, metrics_path = tmp_path / "trace.jsonl", tmp_path / "m.jsonl"
@@ -700,7 +707,7 @@ class TestInProcess:
                 return new_g, new_h, False, loop
             return new_g, new_h, exchanged, loop
 
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", lose_the_flag)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", lose_the_flag)
         forbid_fork(monkeypatch, 4)
         # Of the 12 trials, 5 and 10 raise: the command stops at trial 5.
         args = ("sweep", "--n-list", "4,6", "--k-list", "2,3", "--trials", "3",

@@ -3,6 +3,7 @@
 import pickle
 import re
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ from pluralitysim.oracle import predicted_stable_multiset
 from pluralitysim.protocol import AgentState, _braket_rule, apply_interaction
 from pluralitysim.schedulers import (RoundRobin, StarvationAdversary,
                                      make_scheduler, pair_count)
+from pluralitysim.verify import reachable_state_set
+
+
+def small_configurations():
+    # Every multiset of at most 4 codes for k <= 2 and of at most 3 codes
+    # for k = 3, balanced or not: 4 557 configurations.
+    for k, n_max in ((1, 4), (2, 4), (3, 3)):
+        for n in range(1, n_max + 1):
+            for codes in combinations_with_replacement(range(k**3), n):
+                yield Configuration(k, codes)
 
 
 @st.composite
@@ -169,6 +180,10 @@ class TestIsQuiescent:
         k, triples = case
         config = configuration(k, [AgentState(*t) for t in triples])
         assert is_quiescent(config) == quiescent_by_pairs(config)
+
+    def test_matches_a_check_of_every_agent_pair_on_small_multisets(self):
+        for config in small_configurations():
+            assert is_quiescent(config) == quiescent_by_pairs(config), config
 
     @given(instances())
     @settings(max_examples=60, deadline=None)
@@ -503,7 +518,7 @@ class TestTransitionTable:
                  result.exchanged, loop), None, "full"), key
 
     def test_full_run_after_off_run_still_checks(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", _clobber_kets)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", _clobber_kets)
         config = init_configuration([0, 1, 1], 2)
         run(config, RoundRobin(3), FixedSteps(3), assertions="off")
         for level in ("safety", "full"):
@@ -520,7 +535,7 @@ class TestTransitionTable:
         def rule(g, h, k):
             return _braket_rule(g, h, k)
 
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", rule)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", rule)
         monkeypatch.setattr("pluralitysim.engine._check_full", counting_check)
         config = init_configuration([0, 1, 1, 2, 2, 2], 3)
         run(config, RoundRobin(6), assertions="full")
@@ -541,7 +556,7 @@ class TestTransitionTable:
         def rule(g, h, k):
             return _braket_rule(g, h, k)
 
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", rule)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", rule)
         for name in ("_check_safety", "_check_full"):
             monkeypatch.setattr(f"pluralitysim.engine.{name}",
                                 counted(getattr(engine, name)))
@@ -564,7 +579,7 @@ class TestTransitionTable:
             twins = g == h and g // k == g % k
             return new_g, new_h, exchanged or twins, loop
 
-        monkeypatch.setattr("pluralitysim.engine._braket_rule",
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule",
                             claims_twin_exchanges)
         config = init_configuration([0, 1, 1, 1], 2)
         for level in levels:
@@ -593,7 +608,7 @@ class TestTransitionTable:
                     assert _check_full(*transition) == full_violation(event, k)
 
     def test_violation_first_met_after_a_scan_names_its_step(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.engine._braket_rule",
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule",
                             _moves_a_bra_between_loops)
         # the opening quiescence scan already meets the faulty pair of
         # bra-kets; the schedule reaches it at step 1
@@ -608,11 +623,11 @@ class TestTransitionTable:
 
         # self-loops 0 and 1 meet through key 3 of k = 2
         loops = init_configuration([0, 1], 2)
-        monkeypatch.setattr("pluralitysim.engine._braket_rule",
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule",
                             _moves_a_bra_between_loops)
         assert not is_quiescent(loops)
         assert 3 not in engine._TABLES[(2, _moves_a_bra_between_loops)]
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", rule)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", rule)
         assert not is_quiescent(loops)
         # a settled triangle of k = 3 scans the keys of its three bra-kets
         # (0, 1), (1, 2) and (2, 0), that is 1, 5 and 6
@@ -650,6 +665,31 @@ def _transition_of(pre, post, exchanged, k=2):
     return key, entry, k
 
 
+def _never_swaps(g, h, k):
+    # keeps both kets; a self-loop, g's first, still broadcasts its color
+    loop = g // k if g // k == g % k else h // k if h // k == h % k else -1
+    return g, h, False, loop
+
+
+class TestOneRuleSite:
+    def test_a_rule_patched_in_protocol_reaches_every_reader(self, monkeypatch):
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", _never_swaps)
+        loops = (AgentState(0, 0, 0), AgentState(1, 1, 1))
+        assert apply_interaction(*loops, 2) == (
+            AgentState(0, 0, 0), AgentState(1, 1, 0), False, True)
+        _, _, metrics = run(init_configuration([0, 1], 2), RoundRobin(2))
+        assert (metrics.ket_exchanges, metrics.out_updates) == (0, 1)
+        # two arcs of k = 3 the shipped rule swaps into a loop of weight 3
+        arcs = configuration(3, (AgentState(0, 2, 0), AgentState(2, 1, 0)))
+        assert is_quiescent(arcs)
+        assert reachable_state_set([0, 1], 2) == {
+            AgentState(0, 0, 0), AgentState(1, 1, 1), AgentState(1, 1, 0)}
+        for config in small_configurations():
+            assert is_quiescent(config) == quiescent_by_pairs(config), config
+        monkeypatch.undo()
+        assert not is_quiescent(arcs)
+
+
 class TestRuntimeAssertions:
     def test_moved_bra_is_caught(self):
         transition = _transition_of((AgentState(0, 1, 0), AgentState(1, 0, 1)),
@@ -684,7 +724,7 @@ class TestRuntimeAssertions:
         assert _check_full(*transition) is None
 
     def test_buggy_interaction_rule_aborts_the_run(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", _clobber_kets)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", _clobber_kets)
         with pytest.raises(InvariantViolation) as info:
             run(init_configuration([0, 1, 1], 2), RoundRobin(3))
         assert info.value.step == 0

@@ -65,6 +65,16 @@ class TestIntegerChecks:
                             _count(value, "step index")):
                 assert checked == 2 and type(checked) is int
 
+    def test_apply_interaction_and_weight_return_exact_ints(self):
+        a, b, exchanged, out_changed = apply_interaction(
+            AgentState(np.int64(0), np.int64(0), np.int64(0)),
+            AgentState(1, 1, 1), np.int64(2))
+        assert (a, b, exchanged, out_changed) == (
+            AgentState(0, 1, 0), AgentState(1, 0, 1), True, False)
+        assert {type(field) for field in a + b} == {int}
+        assert type(exchanged) is bool and type(out_changed) is bool
+        assert type(weight(np.int64(0), np.int64(1), 3)) is int
+
     def test_true_is_rejected(self):
         with pytest.raises(ValueError, match="color True is not an integer"):
             check_color(True, 2)

@@ -108,7 +108,7 @@ class TestCheckedRun:
         assert failure.colors == (0, 1, 1)
 
     def test_flags_invariant_violations(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", _clobber_kets)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", _clobber_kets)
         failure = checked_run([0, 1, 1], 2)
         assert failure is not None
         assert failure.check == "invariant"
@@ -250,7 +250,7 @@ class TestReachableStateSet:
                         reachable_states_by_search(colors, k)), (colors, k)
 
     def test_a_rule_failing_a_check_raises(self, monkeypatch):
-        monkeypatch.setattr("pluralitysim.engine._braket_rule", _clobber_kets)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", _clobber_kets)
         with pytest.raises(InvariantViolation,
                            match="interaction changed the ket multiset") as info:
             reachable_state_set([0, 1, 1], 2)
