@@ -206,7 +206,7 @@ def resolve_inputs(args: argparse.Namespace) -> tuple[list[int], int]:
     if args.n is None or args.n < 1:
         raise UsageError("--random-colors needs --n >= 1")
     _check_agents("--n", args.n)
-    rng = np.random.default_rng([args.seed, 0])
+    rng = np.random.default_rng([args.seed or 0, 0])
     return make_random_colors(args.random_colors, args.n, args.k, rng)
 
 
@@ -296,6 +296,10 @@ def _same_file(first: str, second: str) -> bool:
 def cmd_run(args: argparse.Namespace) -> int:
     """Execute one run and write its metrics (and trace); returns exit code."""
     _check_flag("--seed", args.seed)
+    if (args.seed is not None and args.random_colors is None
+            and args.scheduler != "random"):
+        raise UsageError("--seed needs --random-colors or --scheduler random")
+    seed = args.seed or 0
     if (args.out not in (None, "-") and args.trace not in (None, "-")
             and _same_file(args.out, args.trace)):
         raise UsageError(f"--out {args.out!r} and --trace {args.trace!r} "
@@ -331,7 +335,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_flag("--cap", args.cap)
     scheduler = make_scheduler(
         args.scheduler, n,
-        seed=[args.seed, 1] if args.scheduler == "random" else None,
+        seed=[seed, 1] if args.scheduler == "random" else None,
         excluded=tuple(exclude),
         release_step=args.adversary_release)
     if args.fixed_steps is not None:
@@ -354,7 +358,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "n": n,
             "k": k,
             "scheduler": scheduler.kind,
-            "seed": args.seed,
+            "seed": seed,
             "total_interactions": metrics.total_interactions,
             "ket_exchanges": metrics.ket_exchanges,
             "out_updates": metrics.out_updates,
@@ -468,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="uniform | weights=w0,w1,... | planted=<margin>")
     p_run.add_argument("--scheduler", default="roundrobin",
                        choices=["roundrobin", "random", "adversary"])
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="seed for random colors and the random scheduler")
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="seed for random colors and the random scheduler "
+                            "(needs one of them; default 0)")
     p_run.add_argument("--cap", type=int, default=None,
                        help="stop after this many scheduling cycles of "
                             "n*(n-1)/2 interactions (default 50*n*n)")

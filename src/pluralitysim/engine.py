@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import protocol
-# _interact is not called here; bench/tracer.py hooks it by this name.
 from .protocol import (AgentState, _count, _integer, _interact, _weight,
                        check_color, check_k)
 from .schedulers import AgentPair, Scheduler
@@ -201,17 +200,10 @@ class InvariantViolation(AssertionError):
             f"{message} (step {step}, pair {pair}, {pre[0]} x {pre[1]} "
             f"-> {post[0]} x {post[1]})"
         )
-        self._message = message
         self.step = step
         self.pair = pair
         self.pre = pre
         self.post = post
-
-    def __reduce__(self):
-        # Pickling rebuilds through __init__, whose text alone the default
-        # would pass, so a violation keeps its fields across processes.
-        return type(self), (self._message, self.step, self.pair, self.pre,
-                            self.post)
 
 
 def init_configuration(input_colors, k: int) -> Configuration:
@@ -277,26 +269,6 @@ def _table(k: int) -> dict[int, tuple[int, int, bool, int]]:
     return _TABLES.setdefault((k, protocol._braket_rule), {})
 
 
-def _transition(key: int, k: int) -> tuple[int, int, bool, int]:
-    """Table entry for key = (bra_a*k + ket_a)*k*k + bra_b*k + ket_b.
-
-    Returns (new bra-ket of a times k, new bra-ket of b times k, exchanged,
-    broadcast color or -1): the rule's result on the two bra-kets, scaled
-    so that adding an out gives a code.
-    """
-    new_g, new_h, exchanged, loop = protocol._braket_rule(*divmod(key, k * k), k)
-    return new_g * k, new_h * k, exchanged, loop
-
-
-def _post(entry: tuple[int, int, bool, int], a: int, b: int,
-          k: int) -> tuple[int, int, bool]:
-    """Codes of agents a and b after the transition, and out_changed."""
-    new_a, new_b, _, loop = entry
-    if loop < 0:
-        return new_a + a % k, new_b + b % k, False
-    return new_a + loop, new_b + loop, a % k != loop or b % k != loop
-
-
 def _state(code: int, k: int) -> AgentState:
     """The AgentState of an unchecked code."""
     bra_ket, out = divmod(code, k)
@@ -307,11 +279,15 @@ def _checked(key: int, k: int,
              table: dict) -> tuple[tuple[int, int, bool, int], str | None, str]:
     """The transition for key, kept in the table iff it passes both checks.
 
-    Returns (entry, reason, level): reason says why the entry failed a
-    check, or is None, and level is the assertion level of the failed
-    check, "safety" or "full".
+    key = (bra_a*k + ket_a)*k*k + bra_b*k + ket_b. The entry is (new
+    bra-ket of a times k, new bra-ket of b times k, exchanged, broadcast
+    color or -1): the rule's result on the two bra-kets, scaled so that
+    adding an out gives a code. Returns (entry, reason, level): reason says
+    why the entry failed a check, or is None, and level is the assertion
+    level of the failed check, "safety" or "full".
     """
-    entry = _transition(key, k)
+    new_g, new_h, exchanged, loop = protocol._braket_rule(*divmod(key, k * k), k)
+    entry = new_g * k, new_h * k, exchanged, loop
     reason, level = _check_safety(key, entry, k), "safety"
     if reason is None:
         reason, level = _check_full(key, entry, k), "full"
@@ -361,8 +337,9 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
 
     A transition the table lacks is filled through _checked; its failure
     raises InvariantViolation at this step and pair if the assertion level
-    includes the failed check. Appends a trace record per kept step to
-    records. Returns (ket exchanges, out updates) of the batch.
+    includes the failed check, with protocol._interact's post-states.
+    Appends a trace record per kept step to records. Returns (ket
+    exchanges, out updates) of the batch.
     """
     exchanges = out_updates = 0
     kk = k * k
@@ -378,12 +355,12 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
             entry, reason, level = _checked(key, k, table)
             # "full" raises every failure, "safety" only a safety failure
             if reason is not None and assertions in ("full", level):
-                new_a, new_b, _ = _post(entry, a, b, k)
-                raise InvariantViolation(
-                    reason, step, (i, j), (_state(a, k), _state(b, k)),
-                    (_state(new_a, k), _state(new_b, k)))
-        # _post, inlined: this loop runs once per interaction. A null step,
-        # most of them, leaves before any other out arithmetic.
+                pre = _state(a, k), _state(b, k)
+                raise InvariantViolation(reason, step, (i, j), pre,
+                                         _interact(*pre, k)[:2])
+        # The out arithmetic of protocol._interact on codes: this loop runs
+        # once per interaction. A null step, most of them, leaves before
+        # any other out arithmetic.
         new_a, new_b, exchanged, loop = entry
         if not exchanged and (loop < 0 or a % k == loop == b % k):
             if record_nulls:

@@ -46,10 +46,7 @@ def circle_braket_set(colors) -> BraKetMultiset:
     (g0, g1), (g1, g2), ..., (gm, g0); a singleton {c} wraps to the
     self-loop (c, c).
     """
-    ordered = sorted(set(colors))
-    if not ordered:
-        raise ValueError("color set must not be empty")
-    return Counter(zip(ordered, ordered[1:] + ordered[:1]))
+    return Counter(_layer_arcs(set(colors))[0])
 
 
 def _layer_arcs(input_colors) -> list[list[tuple[int, int]]]:

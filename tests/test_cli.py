@@ -138,6 +138,25 @@ class TestRunCommand:
         hist = doc["final_outputs_histogram"]
         assert hist == {str(doc["winner"]): 9}
 
+    def test_seed_needs_random_colors_or_the_random_scheduler(self, capsys):
+        # round-robin and adversary runs of given colors draw nothing
+        for scheduler in ("roundrobin", "adversary"):
+            code, out, err = run_cli(capsys, "run", "--colors", "0,1,1",
+                                     "--scheduler", scheduler, "--seed", "5")
+            assert (code, out, err) == (
+                EXIT_USAGE, "",
+                "error: --seed needs --random-colors or --scheduler random\n")
+        for args in (("--random-colors", "uniform", "--n", "6", "--k", "3"),
+                     ("--colors", "0,1,1", "--scheduler", "random")):
+            code, out, _ = run_cli(capsys, "run", *args, "--seed", "5")
+            assert (code, metrics_of(out)["seed"]) == (EXIT_OK, 5)
+            # without the flag both draw from seed 0
+            assert run_cli(capsys, "run", *args) == run_cli(
+                capsys, "run", *args, "--seed", "0")
+        code, out, _ = run_cli(capsys, "run", "--colors", "0,1,1")
+        assert code == EXIT_OK
+        assert '"seed":0,' in out
+
     def test_random_colors_usage_errors(self, capsys):
         cases = [
             ("--random-colors", "uniform"),                      # no --n
