@@ -21,7 +21,7 @@ from .protocol import (AgentState, InteractionResult, apply_interaction,
 from .schedulers import (AgentPair, RoundRobin, Scheduler,
                          StarvationAdversary, UniformRandom, canonical_pair,
                          fairness_audit, make_scheduler, pair_count,
-                         pair_from_index, pair_index)
+                         pair_index)
 from .verify import (InstanceFailure, VerifyReport, checked_run,
                      enumerate_instances, random_instance,
                      reachable_state_set, verify_battery)
@@ -37,7 +37,7 @@ __all__ = [
     "brute_majority", "canonical_pair", "checked_run", "circle_braket_set",
     "enumerate_instances", "fairness_audit", "greedy_partition",
     "init_agent", "init_configuration", "is_quiescent", "make_scheduler",
-    "pair_count", "pair_from_index", "pair_index",
+    "pair_count", "pair_index",
     "predicted_stable_multiset", "random_instance", "reachable_state_set",
     "run", "verify_battery", "weight", "__version__",
 ]

@@ -35,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .engine import (FixedSteps, InvariantViolation, RunTrace, UntilQuiescent,
+from .engine import (FixedSteps, InvariantViolation, UntilQuiescent, _state,
                      init_configuration, run)
 from .oracle import brute_majority
 from .schedulers import _MAX_AGENTS, make_scheduler
@@ -253,10 +253,10 @@ class _StateText(dict):
 
     def __init__(self, k: int):
         super().__init__()
-        self.state = RunTrace("off", k=k).state
+        self.k = k
 
     def __missing__(self, code: int) -> str:
-        text = self[code] = "[%d,%d,%d]" % self.state(code)
+        text = self[code] = "[%d,%d,%d]" % _state(code, self.k)
         return text
 
 

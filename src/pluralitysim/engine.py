@@ -108,8 +108,9 @@ class TraceEvent(NamedTuple):
 class RunTrace:
     """Event log of a run.
 
-    mode "changes" (the default) keeps only steps that exchanged kets or
-    updated an out field; "full" keeps every step; "off" keeps nothing.
+    run's trace mode decides which steps are kept: "changes" (the default)
+    keeps only steps that exchanged kets or updated an out field; "full"
+    keeps every step; "off" keeps nothing.
 
     Each kept step is one record of ints, (step, i, j, a, b, new_a, new_b,
     exchanged, out_changed), where a and b are the codes of agents i and j
@@ -117,7 +118,6 @@ class RunTrace:
     state(code) decodes one, and events decodes the whole log.
     """
 
-    mode: str
     records: tuple[tuple[int, ...], ...] = ()
     k: int = 1
 
@@ -472,4 +472,4 @@ def run(config: Configuration, scheduler: Scheduler,
         converged=quiescence_step is not None,
         final_outputs=final.output_counts(),
     )
-    return RunResult(final, RunTrace(trace, tuple(kept), k), metrics)
+    return RunResult(final, RunTrace(tuple(kept), k), metrics)

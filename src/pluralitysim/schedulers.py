@@ -50,20 +50,11 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def pair_from_index(index: int, n: int) -> AgentPair:
-    """The index-th canonical pair in lexicographic order.
+def pair_index(pair: AgentPair, n: int) -> int:
+    """The rank of a canonical pair in lexicographic order.
 
     Order is (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1).
     """
-    total = pair_count(n)
-    if _count(index, "pair index") >= total:
-        raise ValueError(f"pair index {index} outside [0, {total - 1}]")
-    firsts, seconds = _pairs_from_indices(np.array([index]), n)
-    return int(firsts[0]), int(seconds[0])
-
-
-def pair_index(pair: AgentPair, n: int) -> int:
-    """Inverse of pair_from_index."""
     i, j = pair
     if not 0 <= i < j < n:
         raise ValueError(f"{pair!r} is not a canonical pair for n={n}")

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from .engine import (InvariantViolation, UntilQuiescent, _apply, _state, _table,
                      init_configuration, run)
 from .oracle import _layer_arcs, brute_majority
@@ -75,8 +73,9 @@ def enumerate_instances(n_max: int, k_max: int):
                 yield k, tuple([c for c, m in enumerate(counts) for _ in range(m)])
 
 
-def random_instance(rng: np.random.Generator, n_max: int, k_max: int):
-    """One uniformly sampled instance: n, k, then i.i.d. colors."""
+def random_instance(rng, n_max: int, k_max: int):
+    """One uniformly sampled instance: n, k, then i.i.d. colors, drawn from
+    rng, a numpy Generator."""
     n_max, k_max = _count(n_max, "n_max", 1), _count(k_max, "k_max", 1)
     n = int(rng.integers(1, n_max + 1))
     k = int(rng.integers(1, k_max + 1))

@@ -11,6 +11,7 @@ test output. All comparisons are exact; there are no tolerances anywhere.
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from oracle_reference import (all_instances, all_states, braket_balanced,
                               greedy_drain)
 from pluralitysim.engine import UntilQuiescent, init_configuration, run
 from pluralitysim.oracle import brute_majority, greedy_partition
-from pluralitysim.schedulers import StarvationAdversary, pair_from_index
+from pluralitysim.schedulers import StarvationAdversary
 from pluralitysim.verify import (enumerate_instances, random_instance,
                                  reachable_state_set, verify_battery)
 
@@ -102,8 +103,8 @@ def test_criterion_4_safety_under_unfairness(capsys):
             n = int(rng.integers(3, 21))
             k = int(rng.integers(2, 7))
             colors = [int(c) for c in rng.integers(0, k, size=n)]
-            excluded = pair_from_index(
-                int(rng.integers(n * (n - 1) // 2)), n)
+            excluded = list(combinations(range(n), 2))[
+                int(rng.integers(n * (n - 1) // 2))]
             scheduler = StarvationAdversary(n, excluded, release_step=2**62)
             final, _, _ = run(init_configuration(colors, k), scheduler,
                               UntilQuiescent(max_cycles=5),

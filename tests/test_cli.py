@@ -361,6 +361,15 @@ class TestRunCommand:
             code, _, _ = run_cli(capsys, "run", "--colors", "0,1,1",
                                  "--assert", level)
             assert code == EXIT_OK
+        # the shipped rule fails no transition, so the level changes no byte
+        outs = set()
+        for level in ("off", "safety", "full"):
+            code, out, _ = run_cli(capsys, "run", "--colors",
+                                   "0:9,1:7,2:6,3:5,4:3,5:2", "--k", "6",
+                                   "--trace", "-", "--assert", level)
+            assert code == EXIT_OK
+            outs.add(out)
+        assert len(outs) == 1
 
 
 class TestVerifyCommand:

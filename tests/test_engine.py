@@ -230,7 +230,7 @@ class TestRun:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_code_decodes_by_arithmetic(self, k):
-        trace = RunTrace("off", (), k)
+        trace = RunTrace((), k)
         for code in range(k**3):
             bra_ket, out = divmod(code, k)
             state = trace.state(np.int64(code))
@@ -239,7 +239,7 @@ class TestRun:
             assert trace.state(code) == state
 
     def test_state_rejects_what_is_not_a_code(self):
-        trace = RunTrace("off", (), 2)
+        trace = RunTrace((), 2)
         for value in (-1, 8, 100, True):
             with pytest.raises(ValueError, match=re.escape(
                     f"code {value!r} is not an integer in [0, 7]")):

@@ -13,7 +13,7 @@ from pluralitysim.engine import FixedSteps, init_configuration, run
 from pluralitysim.schedulers import (RoundRobin, StarvationAdversary,
                                      UniformRandom, canonical_pair,
                                      fairness_audit, make_scheduler,
-                                     pair_count, pair_from_index, pair_index)
+                                     pair_count, pair_index)
 
 
 def pair_list(scheduler, start, count):
@@ -57,7 +57,7 @@ def schedulers(draw):
         return RoundRobin(n)
     if kind == "random":
         return UniformRandom(n, seed=draw(st.integers(0, 2**32)))
-    excluded = pair_from_index(draw(st.integers(0, pair_count(n) - 1)), n)
+    excluded = draw(st.sampled_from(list(combinations(range(n), 2))))
     return StarvationAdversary(n, excluded, draw(st.integers(0, 200)))
 
 
@@ -79,12 +79,13 @@ class TestPairIndexing:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 41, 91, 92])
     def test_matches_lexicographic_enumeration(self, n):
         expected = list(combinations(range(n), 2))
-        assert [pair_from_index(i, n) for i in range(pair_count(n))] == expected
+        assert [pair_list(RoundRobin(n), i, 1)[0]
+                for i in range(pair_count(n))] == expected
 
     @given(st.integers(2, 200), st.integers(0, 10**6))
     def test_round_trips_through_pair_index(self, n, raw):
         index = raw % pair_count(n)
-        pair = pair_from_index(index, n)
+        [pair] = pair_list(RoundRobin(n), index, 1)
         assert 0 <= pair[0] < pair[1] < n
         assert pair_index(pair, n) == index
 
@@ -97,20 +98,18 @@ class TestPairIndexing:
         expected = {0: (0, 1), n - 2: (0, n - 1), n - 1: (1, 2),
                     total - 1: (n - 2, n - 1)}
         for index in (0, n - 2, n - 1, total // 2, total - 1):
-            pair = pair_from_index(index, n)
+            [pair] = pair_list(RoundRobin(n), index, 1)
             assert 0 <= pair[0] < pair[1] < n
             assert pair == expected.get(index, pair)
             assert pair_index(pair, n) == index
 
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(ValueError):
-            pair_from_index(3, 3)
+            RoundRobin(3).pairs(-1, 1)
         with pytest.raises(ValueError):
-            pair_from_index(-1, 3)
+            RoundRobin(4).pairs(1.5, 1)
         with pytest.raises(ValueError):
-            pair_from_index(1.5, 4)
-        with pytest.raises(ValueError):
-            pair_from_index(0, 3 * 10**9 + 1)
+            RoundRobin(3 * 10**9 + 1).pairs(0, 1)
         with pytest.raises(ValueError):
             pair_index((1, 1), 3)
 
@@ -145,8 +144,8 @@ class TestPairTable:
             firsts[:] = 5
             seconds[:] = 6
             assert pair_list(sched, start, count) == expected
-        assert [pair_from_index(i, 7) for i in range(pair_count(7))] == list(
-            combinations(range(7), 2))
+        assert [pair_list(RoundRobin(7), i, 1)[0]
+                for i in range(pair_count(7))] == list(combinations(range(7), 2))
 
 
 class TestRoundRobin:
