@@ -130,9 +130,7 @@ def _planted_counts(n: int, k: int, margin: int,
                     rng: np.random.Generator) -> list[int]:
     # Uniform draw, then move agents onto a random winner until it leads
     # every other color by at least the margin.
-    counts = [0] * k
-    for c in rng.integers(0, k, size=n):
-        counts[int(c)] += 1
+    counts = np.bincount(rng.integers(0, k, size=n), minlength=k).tolist()
     winner = int(rng.integers(k))
     while True:
         runner_up = max((m for c, m in enumerate(counts) if c != winner),

@@ -454,7 +454,7 @@ def run(config: Configuration, scheduler: Scheduler,
             count = min(count, round_length - total % round_length)
         firsts, seconds = scheduler.pairs(total, count)
         batch_exchanges, batch_out_updates = _apply(
-            codes, firsts.tolist(), seconds.tolist(), total, k, table,
+            codes, firsts, seconds, total, k, table,
             assertions, trace, records)
         if records:
             sink(records)

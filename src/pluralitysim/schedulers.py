@@ -2,7 +2,7 @@
 
 A scheduler maps each step index to one unordered pair of agent indices,
 deterministically. pairs(start, count) returns the pairs of a run of
-consecutive steps as two integer arrays (firsts, seconds) with
+consecutive steps as two new lists of ints (firsts, seconds) with
 firsts < seconds elementwise, and pair_at(step) is its one-step form;
 the interaction rule is symmetric, so nothing is lost by ignoring order.
 RoundRobin cycles the canonical pair list in lexicographic order and is
@@ -14,10 +14,11 @@ RoundRobin. StarvationAdversary withholds one pair until a release step,
 deliberately violating weak fairness, so that tests can show safety holds
 anyway and that convergence genuinely needs fairness.
 
-Every scheduler turns pair ranks into pairs through one function. A
-population with at most 4096 pairs (n <= 91) reads them from a table of
-all its pairs, built on first use and kept for the process; larger
-populations compute them in closed form, which is exact up to n = 3*10**9.
+Every scheduler turns pair ranks into pairs through one function, the
+one place where numpy values become ints. A population with at most 4096
+pairs (n <= 91) reads them from a table of all its pairs, built on first
+use and kept for the process; larger populations compute them in closed
+form, which is exact up to n = 3*10**9.
 """
 
 from __future__ import annotations
@@ -72,20 +73,22 @@ def _check_span(start: int, count: int, n: int) -> tuple[int, int, int]:
     return start, count, total
 
 
-def _pairs_from_indices(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pairs_from_indices(index: np.ndarray, n: int) -> tuple[list[int], list[int]]:
     """The canonical pairs of an array of valid indices, as (firsts, seconds).
 
     Read from the population's pair table, built on first use, when it
-    has at most _TABLE_PAIRS pairs, else computed in closed form. The
-    arrays are new either way, never views of a table.
+    has at most _TABLE_PAIRS pairs, else computed in closed form; either
+    way returned as two new lists of ints.
     """
     total = n * (n - 1) // 2
     if total > _TABLE_PAIRS:
-        return _closed_form(index, n)
-    table = _PAIR_TABLES.get(n)
-    if table is None:
-        table = _PAIR_TABLES[n] = _closed_form(np.arange(total, dtype=np.int64), n)
-    return table[0][index], table[1][index]
+        firsts, seconds = _closed_form(index, n)
+    else:
+        table = _PAIR_TABLES.get(n)
+        if table is None:
+            table = _PAIR_TABLES[n] = _closed_form(np.arange(total, dtype=np.int64), n)
+        firsts, seconds = table[0][index], table[1][index]
+    return firsts.tolist(), seconds.tolist()
 
 
 def _closed_form(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,17 +96,18 @@ def _closed_form(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Rank from the end: the last pair (n-2, n-1) has r = 1, and the
     smallest m with m*(m-1)/2 >= r gives first = n - m. The float square
-    root is only a first guess that integer comparisons then correct.
+    root is only a first guess that integer comparisons then raise.
     """
     if n > _MAX_AGENTS:
         raise ValueError(f"n={n} is above {_MAX_AGENTS}, the most agents the "
                          "int64 pair arithmetic supports")
     r = pair_count(n) - np.asarray(index, dtype=np.int64)
+    # For that smallest m, 8r - 7 lies in [(2m-3)**2, (2m-1)**2), so its exact
+    # root is below 2m - 1; below 2**65 the float root is within 1e-6 of the
+    # exact one, so the guess is never above m and only ever needs raising.
     m = (1 + np.sqrt(8.0 * r - 7).astype(np.int64)) // 2
     while (low := m * (m - 1) // 2 < r).any():
         m += low
-    while (high := (m - 1) * (m - 2) // 2 >= r).any():
-        m -= high
     return n - m, n - r + (m - 1) * (m - 2) // 2
 
 
@@ -116,7 +120,7 @@ class _Schedule:
     def pair_at(self, step: int) -> AgentPair:
         """The pair of one step: pairs(step, 1) as a tuple of ints."""
         firsts, seconds = self.pairs(step, 1)
-        return int(firsts[0]), int(seconds[0])
+        return firsts[0], seconds[0]
 
 
 class RoundRobin(_Schedule):
@@ -127,8 +131,8 @@ class RoundRobin(_Schedule):
     def __init__(self, n: int):
         self.n = _count(n, "n")
 
-    def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
+    def pairs(self, start: int, count: int) -> tuple[list[int], list[int]]:
+        """Pairs of steps start .. start+count-1 as (firsts, seconds) lists."""
         start, count, total = _check_span(start, count, self.n)
         return _pairs_from_indices(_cycle(start, count, total), self.n)
 
@@ -161,8 +165,8 @@ class UniformRandom(_Schedule):
         self._cursor += count
         return self._rng.integers(total, size=count)
 
-    def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
+    def pairs(self, start: int, count: int) -> tuple[list[int], list[int]]:
+        """Pairs of steps start .. start+count-1 as (firsts, seconds) lists."""
         start, count, total = _check_span(start, count, self.n)
         if start < self._cursor:
             self._rng = np.random.default_rng(self._seed_sequence)
@@ -193,8 +197,8 @@ class StarvationAdversary(_Schedule):
         self.release_step = _count(release_step, "release step")
         self._excluded_rank = pair_index((i, j), n)
 
-    def pairs(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs of steps start .. start+count-1 as (firsts, seconds) arrays."""
+    def pairs(self, start: int, count: int) -> tuple[list[int], list[int]]:
+        """Pairs of steps start .. start+count-1 as (firsts, seconds) lists."""
         start, count, total = _check_span(start, count, self.n)
         starved = min(max(self.release_step - start, 0), count)
         if starved and total <= 1:

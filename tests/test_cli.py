@@ -159,18 +159,29 @@ class TestRunCommand:
 
     def test_random_colors_usage_errors(self, capsys):
         cases = [
-            ("--random-colors", "uniform"),                      # no --n
-            ("--random-colors", "uniform", "--n", "5"),          # no --k
-            ("--random-colors", "planted=6", "--n", "5", "--k", "2"),
-            ("--random-colors", "planted=0", "--n", "5", "--k", "2"),
-            ("--random-colors", "mixture=1", "--n", "5", "--k", "2"),
-            ("--random-colors", "weights=1,x", "--n", "5"),
-            ("--random-colors", "weights=1,2", "--n", "5", "--k", "3"),
+            (("uniform",), "--random-colors needs --n >= 1"),
+            (("uniform", "--n", "5"), "--random-colors uniform needs --k"),
+            (("uniform=3", "--n", "5", "--k", "2"),
+             "uniform takes no argument"),
+            (("planted=6", "--n", "5", "--k", "2"),
+             "planted margin must be in [1, 5], got 6"),
+            (("planted=0", "--n", "5", "--k", "2"),
+             "planted margin must be in [1, 5], got 0"),
+            (("planted=x", "--n", "5", "--k", "2"),
+             "cannot parse planted margin 'x'"),
+            (("planted=2", "--n", "5"), "--random-colors planted needs --k"),
+            (("mixture=1", "--n", "5", "--k", "2"),
+             "unknown --random-colors spec 'mixture=1'"),
+            (("weights=1,x", "--n", "5"), "cannot parse weights '1,x'"),
+            (("weights=1,2", "--n", "5", "--k", "3"), "2 weights but --k 3"),
+            (("weights=0,0", "--n", "5"),
+             "weights must be non-negative and not all zero"),
+            (("weights=-1,2", "--n", "5"),
+             "weights must be non-negative and not all zero"),
         ]
-        for case in cases:
-            code, _, err = run_cli(capsys, "run", *case)
-            assert code == EXIT_USAGE, case
-            assert err
+        for case, message in cases:
+            code, out, err = run_cli(capsys, "run", "--random-colors", *case)
+            assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf",
                                          "1e308,1e308"],
@@ -198,6 +209,18 @@ class TestRunCommand:
         assert doc["converged"] is False
         assert doc["quiescence_step"] is None
         assert "no quiescence" in err
+
+    def test_exit_4_when_converged_outputs_miss_the_winner(self, capsys,
+                                                           monkeypatch):
+        def no_broadcast(g, h, k):
+            return *_braket_rule(g, h, k)[:3], -1
+
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", no_broadcast)
+        code, out, err = run_cli(capsys, "run", "--colors", "0,1,1", "--k", "2")
+        doc = metrics_of(out)
+        assert (code, doc["converged"], doc["total_interactions"]) == (
+            EXIT_VIOLATION, True, 3)
+        assert err == "converged but outputs {0: 1, 1: 2} != winner 1\n"
 
     def test_released_adversary_converges(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--colors", "0,1,1",
@@ -228,8 +251,10 @@ class TestRunCommand:
          "--adversary-exclude needs two distinct agents below n=3, got 0,5"),
         ("--adversary-exclude=1,1",
          "--adversary-exclude needs two distinct agents below n=3, got 1,1"),
+        ("--adversary-exclude=0,1,2",
+         "--adversary-exclude needs exactly two indices"),
     ], ids=["count-token", "negative", "not-a-number", "empty", "out-of-range",
-            "same-agent"])
+            "same-agent", "three-indices"])
     def test_adversary_exclude_errors_name_the_flag(self, capsys, arg,
                                                     message):
         code, out, err = run_cli(capsys, "run", "--colors", "0,1,1",

@@ -447,7 +447,7 @@ class TestQuiescenceCheckPoints:
         if total:
             firsts, seconds = scheduler.pairs(0, total)
             assert [(event.step, event.pair) for event in trace.events] == list(
-                enumerate(zip(firsts.tolist(), seconds.tolist())))
+                enumerate(zip(firsts, seconds)))
         checks = {*range(0, budget + 1, round_length), budget}
         expected = None
         current = config

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pluralitysim import schedulers as scheduling
@@ -18,8 +18,7 @@ from pluralitysim.schedulers import (RoundRobin, StarvationAdversary,
 
 def pair_list(scheduler, start, count):
     """scheduler.pairs(start, count) as a list of (first, second) tuples."""
-    firsts, seconds = scheduler.pairs(start, count)
-    return list(zip(firsts.tolist(), seconds.tolist()))
+    return list(zip(*scheduler.pairs(start, count)))
 
 
 def scalar_schedule(scheduler, steps):
@@ -92,12 +91,17 @@ class TestPairIndexing:
     @pytest.mark.parametrize("n", [10**6, 10**8, 3 * 10**9])
     def test_round_trips_at_the_edge_ranks_of_large_populations(self, n):
         # from n = 10**8 on, 8*r exceeds 2**53 and the float first guess
-        # is inexact, so the integer corrections have to run; 3 * 10**9 is
+        # is inexact, so the integer correction has to run; 3 * 10**9 is
         # the largest n the int64 arithmetic is allowed
         total = pair_count(n)
-        expected = {0: (0, 1), n - 2: (0, n - 1), n - 1: (1, 2),
-                    total - 1: (n - 2, n - 1)}
-        for index in (0, n - 2, n - 1, total // 2, total - 1):
+        expected = {0: (0, 1), total - 1: (n - 2, n - 1)}
+        # the first pair whose first agent is n - m has rank
+        # total - m*(m-1)/2; the rank before it is the last pair of n - m - 1
+        for m in (n - 1, n - 2, n - 3, n // 2, 3):
+            edge = total - m * (m - 1) // 2
+            expected[edge] = (n - m, n - m + 1)
+            expected[edge - 1] = (n - m - 1, n - 1)
+        for index in (*expected, total // 2):
             [pair] = pair_list(RoundRobin(n), index, 1)
             assert 0 <= pair[0] < pair[1] < n
             assert pair == expected.get(index, pair)
@@ -120,9 +124,7 @@ class TestPairTable:
             ranks = np.arange(pair_count(n), dtype=np.int64)
             tabled = scheduling._pairs_from_indices(ranks, n)
             computed = scheduling._closed_form(ranks, n)
-            for got, expected in zip(tabled, computed):
-                assert got.dtype == np.int64
-                assert got.tolist() == expected.tolist()
+            assert tabled == tuple(part.tolist() for part in computed)
 
     def test_only_populations_up_to_91_agents_keep_a_table(self, monkeypatch):
         # 91 agents have 4095 pairs, 92 agents 4186
@@ -141,8 +143,8 @@ class TestPairTable:
         for start, count in ((0, pair_count(7)), (5, 30)):
             expected = scalar_schedule(sched, range(start, start + count))
             firsts, seconds = sched.pairs(start, count)
-            firsts[:] = 5
-            seconds[:] = 6
+            firsts[:] = [5] * count
+            seconds[:] = [6] * count
             assert pair_list(sched, start, count) == expected
         assert [pair_list(RoundRobin(7), i, 1)[0]
                 for i in range(pair_count(7))] == list(combinations(range(7), 2))
@@ -196,8 +198,7 @@ def test_scheduler_integers_follow_the_color_rule(make, plain):
         with pytest.raises(ValueError, match="must be a non-negative integer"):
             make()
     else:
-        assert [part.tolist() for part in make()] == [
-            part.tolist() for part in plain()]
+        assert make() == plain()
 
 
 class TestUniformRandom:
@@ -316,12 +317,21 @@ class TestBatchedPairs:
                       StarvationAdversary(6, (1, 4), release_step=20)):
             assert [sched.pair_at(t) for t in range(40)] == pair_list(sched, 0, 40)
 
-    def test_pairs_are_canonical_int_arrays(self):
-        firsts, seconds = UniformRandom(30, seed=1).pairs(0, 500)
-        assert firsts.dtype == seconds.dtype == np.int64
-        assert ((0 <= firsts) & (firsts < seconds) & (seconds < 30)).all()
-        empty = RoundRobin(4).pairs(7, 0)
-        assert [len(part) for part in empty] == [0, 0]
+    @given(schedulers(), st.integers(0, 10**5), st.integers(0, 300))
+    @example(RoundRobin(4), 7, 0)
+    @example(RoundRobin(91), 4000, 300)
+    @example(RoundRobin(92), 4000, 300)
+    @example(UniformRandom(91, seed=1), 0, 300)
+    @example(UniformRandom(92, seed=1), 0, 300)
+    @example(StarvationAdversary(91, (0, 1), 100), 0, 300)
+    @example(StarvationAdversary(92, (0, 1), 100), 0, 300)
+    def test_pairs_are_canonical_int_lists(self, sched, start, count):
+        # the table (n <= 91) and the closed form (n >= 92) alike
+        firsts, seconds = sched.pairs(start, count)
+        assert type(firsts) is list and type(seconds) is list
+        assert len(firsts) == len(seconds) == count
+        assert all(type(i) is type(j) is int and 0 <= i < j < sched.n
+                   for i, j in zip(firsts, seconds))
 
 
 class TestMakeScheduler:
