@@ -7,7 +7,8 @@ metrics and an optional trace. Each interaction is a lookup in a
 transition table keyed on the two agents' bra-ket pairs (at most k**4
 entries). An entry is what the rule protocol._braket_rule gives for the
 two bra-kets: the two new bra-kets, whether the kets were exchanged and
-the color a post-swap self-loop broadcasts (or -1), so the out fields
+the color a post-swap self-loop broadcasts (or -1), with both bra-kets
+multiplied by k so that adding an out gives a code; the out fields
 follow in a few integer operations. There is one table per process for
 each k and rule. The rule is looked up as protocol._braket_rule whenever
 a table is fetched or filled, so a rule patched in there gets tables of
@@ -19,11 +20,12 @@ bra-ket balance (safety) and the strict lexicographic drop of the sorted
 weight vector at every ket exchange (full). A transition depends on
 nothing but the two bra-kets, so the table has one fill rule: every
 transition computed, by a run step or a quiescence scan, is checked once
-against both invariants and kept iff it passes both. The run's assertion
-level ("off", "safety" or "full") decides only which failures raise
-InvariantViolation, with the step and pair of that use; a failing
-transition is never kept, so every later use checks it again. Runs at
-every level therefore cost the same per step.
+against both invariants and kept iff it passes both. _checked decodes
+the key once, and both checks read the bra-kets the rule returns, never
+a table entry. The run's assertion level ("off", "safety" or "full")
+decides only which failures raise InvariantViolation, with the step and
+pair of that use; a failing transition is never kept, so every later use
+checks it again. Runs at every level therefore cost the same per step.
 """
 
 from __future__ import annotations
@@ -214,39 +216,37 @@ def init_configuration(input_colors, k: int) -> Configuration:
                                    for value in input_colors]))
 
 
-# Both checks read a transition through bra-ket indices bra*k + ket: g
-# and h of agents a and b before it, g1 and h1 after it. Neither reads
-# an out field.
-def _check_safety(key: int, entry: tuple[int, int, bool, int],
+# Both checks read a transition as the rule gives it, through bra-ket
+# indices bra*k + ket: g and h of agents a and b before it, g1 and h1
+# after it, and the exchange flag. Neither reads an out field or a table
+# entry.
+def _check_safety(g: int, h: int, g1: int, h1: int, exchanged: bool,
                   k: int) -> str | None:
     """Why the transition breaks the bra-ket balance, or None if it keeps it."""
     # Bras never move and kets are only swapped between the two agents, so
     # the global per-color bra/ket balance is conserved step by step.
-    g, h = divmod(key, k * k)
-    g1, h1 = entry[0] // k, entry[1] // k
     if g1 // k != g // k or h1 // k != h // k:
         return "interaction moved a bra"
     kets, kets1 = (g % k, h % k), (g1 % k, h1 % k)
     if kets1 != kets:
         if kets1 != kets[::-1]:
             return "interaction changed the ket multiset"
-        if not entry[2]:
+        if not exchanged:
             return "kets moved without an exchange flag"
     return None
 
 
-def _check_full(key: int, entry: tuple[int, int, bool, int],
+def _check_full(g: int, h: int, g1: int, h1: int, exchanged: bool,
                 k: int) -> str | None:
     """Why the transition breaks the weight-vector drop, or None if it keeps it."""
     # Only the two participants' weights can change, so the sorted weight
     # vector of the whole population drops lexicographically iff the
-    # pair's sorted weights do.
-    g, h = divmod(key, k * k)
-    g1, h1 = entry[0] // k, entry[1] // k
+    # pair's sorted weights do. A transition that moves nothing keeps them.
+    if (g1, h1) == (g, h):
+        return "ket exchange left all weights unchanged" if exchanged else None
     old = sorted((_weight(g // k, g % k, k), _weight(h // k, h % k, k)))
-    new = old if (g1, h1) == (g, h) else sorted(
-        (_weight(g1 // k, g1 % k, k), _weight(h1 // k, h1 % k, k)))
-    if entry[2]:
+    new = sorted((_weight(g1 // k, g1 % k, k), _weight(h1 // k, h1 % k, k)))
+    if exchanged:
         if new == old:
             return "ket exchange left all weights unchanged"
         if new > old:
@@ -279,18 +279,20 @@ def _checked(key: int, k: int,
              table: dict) -> tuple[tuple[int, int, bool, int], str | None, str]:
     """The transition for key, kept in the table iff it passes both checks.
 
-    key = (bra_a*k + ket_a)*k*k + bra_b*k + ket_b. The entry is (new
-    bra-ket of a times k, new bra-ket of b times k, exchanged, broadcast
-    color or -1): the rule's result on the two bra-kets, scaled so that
-    adding an out gives a code. Returns (entry, reason, level): reason says
-    why the entry failed a check, or is None, and level is the assertion
-    level of the failed check, "safety" or "full".
+    key = (bra_a*k + ket_a)*k*k + bra_b*k + ket_b, decoded here once into
+    the two bra-kets the rule and both checks read. The entry is the
+    rule's result with both new bra-kets multiplied by k, so that adding
+    an out gives a code: (new bra-ket of a times k, new bra-ket of b times
+    k, exchanged, broadcast color or -1). Returns (entry, reason, level):
+    reason says why the transition failed a check, or is None, and level
+    is the assertion level of the failed check, "safety" or "full".
     """
-    new_g, new_h, exchanged, loop = protocol._braket_rule(*divmod(key, k * k), k)
-    entry = new_g * k, new_h * k, exchanged, loop
-    reason, level = _check_safety(key, entry, k), "safety"
+    g, h = divmod(key, k * k)
+    g1, h1, exchanged, loop = protocol._braket_rule(g, h, k)
+    reason, level = _check_safety(g, h, g1, h1, exchanged, k), "safety"
     if reason is None:
-        reason, level = _check_full(key, entry, k), "full"
+        reason, level = _check_full(g, h, g1, h1, exchanged, k), "full"
+    entry = g1 * k, h1 * k, exchanged, loop
     if reason is None:
         table[key] = entry
     return entry, reason, level

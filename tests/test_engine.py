@@ -19,7 +19,8 @@ from pluralitysim.engine import (Configuration, FixedSteps,
                                  UntilQuiescent, _check_full, _check_safety,
                                  init_configuration, is_quiescent, run)
 from pluralitysim.oracle import predicted_stable_multiset
-from pluralitysim.protocol import AgentState, _braket_rule, apply_interaction
+from pluralitysim.protocol import (AgentState, _braket_rule, apply_interaction,
+                                   weight)
 from pluralitysim.schedulers import (RoundRobin, StarvationAdversary,
                                      make_scheduler, pair_count)
 from pluralitysim.verify import reachable_state_set
@@ -484,6 +485,46 @@ class TestQuiescenceScans:
         assert len(calls) == scans
 
 
+def _clobber_kets(g, h, k):
+    # overwrites both kets with the bra of g
+    bra = g // k
+    return bra * k + bra, h // k * k + bra, True, -1
+
+
+def _shifts_the_bra_of_g(g, h, k):
+    # g's new bra-ket gets the next bra, mod k
+    new_g, new_h, exchanged, loop = _braket_rule(g, h, k)
+    return (new_g + k) % (k * k), new_h, exchanged, loop
+
+
+def _drops_the_exchange_flag(g, h, k):
+    new_g, new_h, _, loop = _braket_rule(g, h, k)
+    return new_g, new_h, False, loop
+
+
+def _flags_still_transitions(g, h, k):
+    # sets the exchange flag on every transition that moves nothing
+    new_g, new_h, exchanged, loop = _braket_rule(g, h, k)
+    return new_g, new_h, exchanged or (new_g, new_h) == (g, h), loop
+
+
+def _swaps_when_the_weight_sum_drops(g, h, k):
+    # swaps the kets iff the sum of the two weights drops, not the
+    # minimum: another rule, but one whose every transition passes both checks
+    (bra_g, ket_g), (bra_h, ket_h) = divmod(g, k), divmod(h, k)
+    exchanged = (weight(bra_g, ket_h, k) + weight(bra_h, ket_g, k)
+                 < weight(bra_g, ket_g, k) + weight(bra_h, ket_h, k))
+    if exchanged:
+        ket_g, ket_h = ket_h, ket_g
+    loop = bra_g if bra_g == ket_g else bra_h if bra_h == ket_h else -1
+    return bra_g * k + ket_g, bra_h * k + ket_h, exchanged, loop
+
+
+RULE_MUTANTS = (_shifts_the_bra_of_g, _drops_the_exchange_flag,
+                _flags_still_transitions, _swaps_when_the_weight_sum_drops,
+                _clobber_kets)
+
+
 class TestTransitionTable:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_every_state_pair_steps_like_apply_interaction(self, k):
@@ -516,6 +557,26 @@ class TestTransitionTable:
                 ((a.bra * k + a.ket) * k, (b.bra * k + b.ket) * k,
                  result.exchanged, loop), None, "full"), key
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mutant", RULE_MUTANTS,
+                             ids=[mutant.__name__[1:] for mutant in RULE_MUTANTS])
+    def test_every_key_of_a_mutant_gets_the_reference_reason_and_level(
+            self, monkeypatch, mutant, k):
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", mutant)
+        table = {}
+        for key in range(k**4):
+            g, h = divmod(key, k * k)
+            new_g, new_h, exchanged, loop = mutant(g, h, k)
+            pre, post = [(AgentState(*divmod(a, k), 0), AgentState(*divmod(b, k), 0))
+                         for a, b in ((g, h), (new_g, new_h))]
+            event = TraceEvent(0, (0, 1), pre, post, exchanged, False)
+            reason, level = safety_violation(event), "safety"
+            if reason is None:
+                reason, level = full_violation(event, k), "full"
+            assert engine._checked(key, k, table) == (
+                (new_g * k, new_h * k, exchanged, loop), reason, level), key
+            assert (key in table) == (reason is None), key
+
     def test_full_run_after_off_run_still_checks(self, monkeypatch):
         monkeypatch.setattr("pluralitysim.protocol._braket_rule", _clobber_kets)
         config = init_configuration([0, 1, 1], 2)
@@ -529,8 +590,8 @@ class TestTransitionTable:
     def test_each_transition_is_checked_once_per_rule(self, monkeypatch):
         calls = []
 
-        def counting_check(key, entry, k):
-            calls.append(key)
+        def counting_check(g, h, g1, h1, exchanged, k):
+            calls.append((g, h))
 
         def rule(g, h, k):
             return _braket_rule(g, h, k)
@@ -639,8 +700,10 @@ class TestTransitionTable:
         assert set(engine._TABLES[(3, rule)]) == {1 * 9 + 5, 1 * 9 + 6, 5 * 9 + 6}
         for k, used in ((2, _moves_a_bra_between_loops), (2, rule), (3, rule)):
             for key, entry in engine._TABLES[(k, used)].items():
-                assert _check_safety(key, entry, k) is None
-                assert _check_full(key, entry, k) is None
+                g, h = divmod(key, k * k)
+                transition = g, h, entry[0] // k, entry[1] // k, entry[2], k
+                assert _check_safety(*transition) is None
+                assert _check_full(*transition) is None
 
 
 def _moves_a_bra_between_loops(g, h, k):
@@ -651,19 +714,12 @@ def _moves_a_bra_between_loops(g, h, k):
     return new_g, new_h, exchanged, loop
 
 
-def _clobber_kets(g, h, k):
-    # overwrites both kets with the bra of g
-    bra = g // k
-    return bra * k + bra, h // k * k + bra, True, -1
-
-
 def _transition_of(pre, post, exchanged, k=2):
-    # The engine's (key, table entry, k) for the bra-kets of two states
-    # before and after an interaction; no broadcast.
+    # The checks' (g, h, g1, h1, exchanged, k) for the bra-kets of two
+    # states before and after an interaction.
     (a, b), (a1, b1) = pre, post
-    key = ((a.bra * k + a.ket) * k + b.bra) * k + b.ket
-    entry = ((a1.bra * k + a1.ket) * k, (b1.bra * k + b1.ket) * k, exchanged, -1)
-    return key, entry, k
+    return (a.bra * k + a.ket, b.bra * k + b.ket,
+            a1.bra * k + a1.ket, b1.bra * k + b1.ket, exchanged, k)
 
 
 def _never_swaps(g, h, k):
