@@ -120,8 +120,8 @@ class RunTrace:
     state(code) decodes one, and events decodes the whole log.
     """
 
-    records: tuple[tuple[int, ...], ...] = ()
-    k: int = 1
+    records: tuple[tuple[int, ...], ...]
+    k: int
 
     def state(self, code: int) -> AgentState:
         """The agent state a record's code stands for; rejects non-codes."""

@@ -8,13 +8,12 @@ through the capture-disabled channel so the verdicts always appear in the
 test output. All comparisons are exact; there are no tolerances anywhere.
 """
 
-import subprocess
-import sys
 import time
 from itertools import combinations
 
 import numpy as np
 
+from cli_calls import CALLS, digest, pinned
 from oracle_reference import (all_instances, all_states, braket_balanced,
                               greedy_drain)
 from pluralitysim.engine import UntilQuiescent, init_configuration, run
@@ -135,40 +134,15 @@ def test_criterion_5_closed_forms_vs_references(capsys):
              "for all n<=8, k<=5", 60, check)
 
 
-def test_criterion_6_byte_identical_determinism(capsys, tmp_path):
-    def invoke(args):
-        result = subprocess.run([sys.executable, "-m", "pluralitysim", *args],
-                                capture_output=True)
-        return result.returncode, result.stdout
-
+def test_criterion_6_byte_identical_determinism(capsys):
     def check():
-        run_args = ["run", "--random-colors", "uniform", "--n", "25",
-                    "--k", "5", "--scheduler", "random", "--seed", "11"]
-        comparisons = 0
-        for extra in ([], ["--format", "csv"]):
-            first = invoke(run_args + extra)
-            second = invoke(run_args + extra)
-            assert first == second and first[1], run_args + extra
-            comparisons += 1
-        for index in (1, 2):
-            trace = tmp_path / f"trace{index}.jsonl"
-            out = tmp_path / f"metrics{index}.json"
-            code, _ = invoke(run_args + ["--trace", str(trace),
-                                         "--out", str(out)])
-            assert code == 0
-        assert (tmp_path / "trace1.jsonl").read_bytes() == \
-            (tmp_path / "trace2.jsonl").read_bytes()
-        assert (tmp_path / "metrics1.json").read_bytes() == \
-            (tmp_path / "metrics2.json").read_bytes()
-        comparisons += 2
-        sweep_args = ["sweep", "--n-list", "5,9", "--k-list", "2,4",
-                      "--trials", "5", "--seed", "3", "--scheduler", "random"]
-        first = invoke(sweep_args)
-        second = invoke(sweep_args)
-        assert first == second and first[1], sweep_args
-        comparisons += 1
-        return f"{comparisons} repeated invocations, byte-identical outputs"
+        pins = pinned()
+        changed = [name for name, argv in CALLS
+                   if digest(argv) != pins.get(name)]
+        assert not changed, f"outputs differ from the pinned digests: {changed}"
+        return (f"{len(CALLS)} CLI calls, exit codes and output bytes equal "
+                f"to those pinned by another process")
 
     _verdict(capsys, 6,
-             "repeated run and sweep invocations with identical seeds "
+             "run, sweep and verify invocations with identical seeds "
              "produce byte-identical outputs", None, check)

@@ -1,13 +1,8 @@
-"""The narrative demo scripts must keep running cleanly."""
-
-import pathlib
-import subprocess
-import sys
+"""The narrative demo scripts must keep running cleanly, with pinned output."""
 
 import pytest
 
-DEMOS = sorted(
-    pathlib.Path(__file__).resolve().parent.parent.glob("demos/*.py"))
+from cli_calls import DEMOS, pinned, run_demo
 
 
 def test_demos_exist():
@@ -17,8 +12,7 @@ def test_demos_exist():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_and_narrates(script):
     # the demos run in dev mode with warnings as errors, like the suite
-    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
-                             str(script)],
-                            capture_output=True, text=True, timeout=120)
+    result, digest = run_demo(script)
     assert result.returncode == 0, result.stderr
     assert len(result.stdout.splitlines()) > 5
+    assert digest == pinned()[f"demo-{script.stem}"]

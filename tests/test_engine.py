@@ -466,6 +466,15 @@ class TestQuiescenceCheckPoints:
         stops_early = isinstance(policy, UntilQuiescent) and expected is not None
         assert total == (expected if stops_early else budget)
 
+    def test_batches_stop_at_round_boundaries_longer_than_a_batch(self):
+        # 100 agents make rounds of 4 950 pairs, more than engine.BATCH:
+        # a batch that crossed a round boundary would skip the check
+        # there, and the run would go on to the cap.
+        assert pair_count(100) > engine.BATCH
+        _, _, metrics = run(init_configuration([0] * 60 + [1] * 40, 2),
+                            RoundRobin(100), UntilQuiescent(5))
+        assert metrics.quiescence_step == metrics.total_interactions == 9900
+
 
 class TestQuiescenceScans:
     @pytest.mark.parametrize("scheduler, policy, scans", [
