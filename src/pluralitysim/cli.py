@@ -246,6 +246,11 @@ def write_text(path: str | None, text: str):
         handle.write(text)
 
 
+# Most codes (k**3) whose state texts a trace lists up front; above it they
+# are encoded on first use, so memory does not grow with k**3.
+_LISTED_STATES = 4096
+
+
 class _StateText(dict):
     """Trace code -> JSON text of its state, encoded on first use."""
 
@@ -258,27 +263,40 @@ class _StateText(dict):
         return text
 
 
-def _trace_sink(spool, k: int, fmt: str):
+def _trace_sink(spool, n: int, k: int, fmt: str):
     """A run sink that renders each batch of trace records into spool.
 
     Writes the same bytes as render_rows over the event rows: json-lines
     with sorted keys, or csv with one header and JSON-encoded list cells.
-    Each distinct state is JSON-encoded once per run.
+    Each line joins precomputed texts: the JSON text of each state, listed
+    by code up front when there are at most _LISTED_STATES codes and
+    otherwise encoded on first use; the text of each agent index; and,
+    for each pair of flags, the fixed text around them.
     """
-    state = _StateText(k)
-    flag = ("false", "true")
+    if k**3 <= _LISTED_STATES:
+        # code = (bra * k + ket) * k + out, so product runs in code order
+        state = [f"[{bra},{ket},{out}]"
+                 for bra, ket, out in product(range(k), repeat=3)]
+    else:
+        state = _StateText(k)
+    index = [str(i) for i in range(n)]
+    # The words of (exchanged, out_changed) at 2 * exchanged + out_changed.
+    flags = list(product(("false", "true"), repeat=2))
     if fmt == "json-lines":
+        head = [f'{{"exchanged":{exchanged},"out_changed":{out_changed},"pair":['
+                for exchanged, out_changed in flags]
         return lambda records: spool.write("".join([
-            f'{{"exchanged":{flag[exchanged]},"out_changed":{flag[out_changed]},'
-            f'"pair":[{i},{j}],"post":[{state[new_a]},{state[new_b]}],'
+            f'{head[2 * exchanged + out_changed]}{index[i]},{index[j]}],'
+            f'"post":[{state[new_a]},{state[new_b]}],'
             f'"pre":[{state[a]},{state[b]}],"step":{step}}}\n'
             for step, i, j, a, b, new_a, new_b, exchanged, out_changed
             in records]))
     # Every list cell holds a comma, so csv quotes each one.
     spool.write(",".join(TRACE_FIELDS) + "\n")
+    tail = [f",{exchanged},{out_changed}\n" for exchanged, out_changed in flags]
     return lambda records: spool.write("".join([
-        f'{step},"[{i},{j}]","[{state[a]},{state[b]}]",'
-        f'"[{state[new_a]},{state[new_b]}]",{flag[exchanged]},{flag[out_changed]}\n'
+        f'{step},"[{index[i]},{index[j]}]","[{state[a]},{state[b]}]",'
+        f'"[{state[new_a]},{state[new_b]}]"{tail[2 * exchanged + out_changed]}'
         for step, i, j, a, b, new_a, new_b, exchanged, out_changed
         in records]))
 
@@ -346,7 +364,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # a run that raises touches no file.
     with (tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
           if args.trace else nullcontext()) as spool:
-        sink = _trace_sink(spool, k, args.format) if args.trace else None
+        sink = _trace_sink(spool, n, k, args.format) if args.trace else None
         _, _, metrics = run(config, scheduler, policy,
                             assertions=args.assertion_level,
                             trace="changes" if args.trace else "off", sink=sink)

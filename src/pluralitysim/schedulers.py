@@ -14,15 +14,21 @@ RoundRobin. StarvationAdversary withholds one pair until a release step,
 deliberately violating weak fairness, so that tests can show safety holds
 anyway and that convergence genuinely needs fairness.
 
-Every scheduler turns pair ranks into pairs through one function, the
-one place where numpy values become ints. A population with at most 4096
-pairs (n <= 91) reads them from a table of all its pairs, built on first
-use and kept for the process; larger populations compute them in closed
-form, which is exact up to n = 3*10**9.
+RoundRobin needs no numpy: a population with at most 4096 pairs
+(n <= 91) keeps its whole round as two lists, walked once and kept for
+the process, and hands out slices of them; any other span is walked row
+by row from its first pair, found by integer arithmetic. UniformRandom
+and StarvationAdversary turn numpy arrays of pair ranks into pairs
+through one function, the one place where numpy values become ints: a
+population with at most 4096 pairs reads them from a table of all its
+pairs, built on first use and kept for the process; larger populations
+compute them in closed form, which is exact up to n = 3*10**9, the most
+agents any scheduler accepts.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -34,8 +40,11 @@ AgentPair = tuple[int, int]
 _MAX_AGENTS = 3 * 10**9   # above this, m*(m-1) in _closed_form overflows
 _TABLE_PAIRS = 4096       # most pairs of a population that gets a pair table
 
-# n -> (firsts, seconds) of all pairs of n agents, for tabled populations.
+# n -> (firsts, seconds) of all pairs of n agents, for tabled populations:
+# as arrays for the schedulers that index them with drawn ranks, and as
+# lists for RoundRobin, which slices them.
 _PAIR_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_ROUNDS: dict[int, tuple[list[int], list[int]]] = {}
 
 
 def canonical_pair(first: int, second: int) -> AgentPair:
@@ -70,6 +79,9 @@ def _check_span(start: int, count: int, n: int) -> tuple[int, int, int]:
     total = n * (n - 1) // 2
     if total == 0:
         raise ValueError(f"scheduler needs at least two agents, got n={n}")
+    if n > _MAX_AGENTS:
+        raise ValueError(f"n={n} is above {_MAX_AGENTS}, the most agents the "
+                         "int64 pair arithmetic supports")
     return start, count, total
 
 
@@ -98,9 +110,6 @@ def _closed_form(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     smallest m with m*(m-1)/2 >= r gives first = n - m. The float square
     root is only a first guess that integer comparisons then raise.
     """
-    if n > _MAX_AGENTS:
-        raise ValueError(f"n={n} is above {_MAX_AGENTS}, the most agents the "
-                         "int64 pair arithmetic supports")
     r = pair_count(n) - np.asarray(index, dtype=np.int64)
     # For that smallest m, 8r - 7 lies in [(2m-3)**2, (2m-1)**2), so its exact
     # root is below 2m - 1; below 2**65 the float root is within 1e-6 of the
@@ -109,6 +118,29 @@ def _closed_form(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     while (low := m * (m - 1) // 2 < r).any():
         m += low
     return n - m, n - r + (m - 1) * (m - 2) // 2
+
+
+def _walk(rank: int, count: int, n: int) -> tuple[list[int], list[int]]:
+    """count round-robin pairs from the pair of a valid rank on, wrapping
+    at the round's end, as two new lists (firsts, seconds).
+
+    The first pair is found as in _closed_form, with an exact integer
+    root: for r and m as there, isqrt(8r - 7) is 2m - 3 or 2m - 2. Then
+    each row of pairs (i, i+1) .. (i, n-1) is added in one piece.
+    """
+    r = n * (n - 1) // 2 - rank
+    m = (3 + math.isqrt(8 * r - 7)) // 2
+    i, j = n - m, n - r + (m - 1) * (m - 2) // 2
+    firsts: list[int] = []
+    seconds: list[int] = []
+    while count:
+        take = min(count, n - j)
+        firsts += [i] * take
+        seconds += range(j, j + take)
+        count -= take
+        i = i + 1 if i < n - 2 else 0
+        j = i + 1
+    return firsts, seconds
 
 
 def _cycle(start: int, count: int, period: int) -> np.ndarray:
@@ -134,7 +166,13 @@ class RoundRobin(_Schedule):
     def pairs(self, start: int, count: int) -> tuple[list[int], list[int]]:
         """Pairs of steps start .. start+count-1 as (firsts, seconds) lists."""
         start, count, total = _check_span(start, count, self.n)
-        return _pairs_from_indices(_cycle(start, count, total), self.n)
+        rank = start % total
+        if total > _TABLE_PAIRS or rank + count > total:
+            return _walk(rank, count, self.n)
+        whole = _ROUNDS.get(self.n)
+        if whole is None:
+            whole = _ROUNDS[self.n] = _walk(0, total, self.n)
+        return whole[0][rank:rank + count], whole[1][rank:rank + count]
 
 
 _SKIP_CHUNK = 1 << 16   # draws discarded at a time when skipping ahead

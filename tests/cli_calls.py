@@ -83,6 +83,14 @@ CALLS = [
     ("sweep-k8",
      ["sweep", "--n-list", "30", "--k-list", "8", "--trials", "5",
       "--scheduler", "random", "--seed", "2"]),
+    # traces above k = 16, whose state texts are encoded on first use
+    # rather than listed up front, in both formats
+    ("run-k20",
+     ["run", "--random-colors", "uniform", "--n", "60", "--k", "20",
+      "--seed", "6", "--trace", "{dir}/run-k20.trace"]),
+    ("run-k20-csv",
+     ["run", "--random-colors", "uniform", "--n", "60", "--k", "20",
+      "--seed", "6", "--format", "csv", "--trace", "{dir}/run-k20-csv.trace"]),
     # a starved run ends on a round boundary and exits 3; the budget of 2
     # ends mid-round where quiescence is found; a zero budget exits 3
     ("run-starved-cap",

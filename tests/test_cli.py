@@ -323,16 +323,19 @@ class TestRunCommand:
         }
 
     @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+    @pytest.mark.parametrize("k", [12, 17])
     def test_trace_bytes_match_the_serialized_events(self, capsys, tmp_path,
-                                                     fmt):
-        # Two-digit agents and colors, ket exchanges and broadcasts.
+                                                     fmt, k):
+        # Two-digit agents and colors, ket exchanges and broadcasts; the
+        # state texts are listed up front at k = 12 and encoded on first
+        # use at k = 17.
         colors = [0, 11, 3, 11, 7, 10, 2, 11, 5, 9, 11, 1, 4, 6]
         trace_path = tmp_path / "trace.txt"
         code, _, _ = run_cli(capsys, "run", "--colors", ",".join(map(str, colors)),
-                             "--k", "12", "--trace", str(trace_path),
+                             "--k", str(k), "--trace", str(trace_path),
                              "--format", fmt)
         assert code == EXIT_OK
-        _, trace, metrics = run(init_configuration(colors, 12),
+        _, trace, metrics = run(init_configuration(colors, k),
                                 RoundRobin(len(colors)))
         assert metrics.ket_exchanges and metrics.out_updates
         rows = [{"step": e.step, "pair": list(e.pair),

@@ -90,9 +90,11 @@ class TestPairIndexing:
 
     @pytest.mark.parametrize("n", [10**6, 10**8, 3 * 10**9])
     def test_round_trips_at_the_edge_ranks_of_large_populations(self, n):
-        # from n = 10**8 on, 8*r exceeds 2**53 and the float first guess
-        # is inexact, so the integer correction has to run; 3 * 10**9 is
-        # the largest n the int64 arithmetic is allowed
+        # round-robin's integer walk and the closed form of the other
+        # schedulers; from n = 10**8 on, 8*r exceeds 2**53 and the closed
+        # form's float first guess is inexact, so its integer correction
+        # has to run; 3 * 10**9 is the largest n the int64 arithmetic is
+        # allowed
         total = pair_count(n)
         expected = {0: (0, 1), total - 1: (n - 2, n - 1)}
         # the first pair whose first agent is n - m has rank
@@ -106,6 +108,8 @@ class TestPairIndexing:
             assert 0 <= pair[0] < pair[1] < n
             assert pair == expected.get(index, pair)
             assert pair_index(pair, n) == index
+            assert scheduling._pairs_from_indices(np.array([index]), n) == (
+                [pair[0]], [pair[1]])
 
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(ValueError):
@@ -127,13 +131,20 @@ class TestPairTable:
             assert tabled == tuple(part.tolist() for part in computed)
 
     def test_only_populations_up_to_91_agents_keep_a_table(self, monkeypatch):
-        # 91 agents have 4095 pairs, 92 agents 4186
+        # 91 agents have 4095 pairs, 92 agents 4186; round-robin keeps
+        # its round as lists, apart from the other schedulers' tables
         monkeypatch.setattr(scheduling, "_PAIR_TABLES", {})
+        monkeypatch.setattr(scheduling, "_ROUNDS", {})
         run(init_configuration([0, 1] * 46, 2), RoundRobin(92), FixedSteps(5000))
-        assert scheduling._PAIR_TABLES == {}
+        assert scheduling._PAIR_TABLES == scheduling._ROUNDS == {}
         UniformRandom(91, seed=0).pairs(0, 10)
         assert list(scheduling._PAIR_TABLES) == [91]
         assert len(scheduling._PAIR_TABLES[91][0]) == pair_count(91)
+        assert scheduling._ROUNDS == {}
+        RoundRobin(91).pairs(10, 10)
+        assert list(scheduling._ROUNDS) == [91]
+        assert scheduling._ROUNDS[91] == tuple(
+            part.tolist() for part in scheduling._PAIR_TABLES[91])
 
     @pytest.mark.parametrize("sched", [
         RoundRobin(7), UniformRandom(7, seed=3),
@@ -171,6 +182,33 @@ class TestRoundRobin:
             RoundRobin(3).pairs(-1, 1)
         with pytest.raises(ValueError):
             RoundRobin(3).pairs(0, -1)
+
+    def test_spans_equal_the_closed_form(self):
+        # slices of the kept round (n <= 91) and row walks (spans that
+        # cross a round's end, and every span of n >= 92) alike
+        for n in range(2, 96):
+            total = pair_count(n)
+            for start in (0, total // 2, total - 1, 3 * total):
+                for count in (0, 1, total - 1, total, 2 * total + 3, 4096):
+                    assert RoundRobin(n).pairs(start, count) == \
+                        scheduling._pairs_from_indices(
+                            scheduling._cycle(start, count, total), n)
+
+    def test_spans_need_no_numpy(self, monkeypatch):
+        spans = [(n, start, count) for n in (2, 8, 91, 92, 300)
+                 for start, count in ((0, pair_count(n)), (5, 4096),
+                                      (pair_count(n) - 1, 3))]
+        expected = [scalar_schedule(RoundRobin(n), range(start, start + count))
+                    for n, start, count in spans]
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} was used")
+
+        monkeypatch.setattr(scheduling, "_ROUNDS", {})
+        monkeypatch.setattr(scheduling, "np", NoNumpy())
+        assert [pair_list(RoundRobin(n), start, count)
+                for n, start, count in spans] == expected
 
 
 @pytest.mark.parametrize("make, plain", [
