@@ -14,16 +14,18 @@ RoundRobin. StarvationAdversary withholds one pair until a release step,
 deliberately violating weak fairness, so that tests can show safety holds
 anyway and that convergence genuinely needs fairness.
 
-RoundRobin needs no numpy: a population with at most 4096 pairs
-(n <= 91) keeps its whole round as two lists, walked once and kept for
-the process, and hands out slices of them; any other span is walked row
-by row from its first pair, found by integer arithmetic. UniformRandom
-and StarvationAdversary turn numpy arrays of pair ranks into pairs
-through one function, the one place where numpy values become ints: a
-population with at most 4096 pairs reads them from a table of all its
-pairs, built on first use and kept for the process; larger populations
-compute them in closed form, which is exact up to n = 3*10**9, the most
-agents any scheduler accepts.
+Round-robin order has one implementation, and it needs no numpy: a
+population with at most 4096 pairs (n <= 91) keeps its whole round as
+two lists, walked once and kept for the process, and hands out slices of
+them, of the round repeated for a span past its end; a larger population
+is walked row by row from each span's first pair, found by integer
+arithmetic. StarvationAdversary takes its spans from it and cuts the
+excluded pair out. UniformRandom turns its numpy arrays of drawn pair
+ranks into pairs through one function, the one place where numpy values
+become ints: a population with at most 4096 pairs reads them from a
+table of all its pairs, built on first use and kept for the process;
+larger populations compute them in closed form, which is exact up to
+n = 3*10**9, the most agents any scheduler accepts.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ _MAX_AGENTS = 3 * 10**9   # above this, m*(m-1) in _closed_form overflows
 _TABLE_PAIRS = 4096       # most pairs of a population that gets a pair table
 
 # n -> (firsts, seconds) of all pairs of n agents, for tabled populations:
-# as arrays for the schedulers that index them with drawn ranks, and as
-# lists for RoundRobin, which slices them.
+# as arrays for UniformRandom, which indexes them with drawn ranks, and as
+# lists for round-robin order, which slices them.
 _PAIR_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _ROUNDS: dict[int, tuple[list[int], list[int]]] = {}
 
@@ -143,9 +145,24 @@ def _walk(rank: int, count: int, n: int) -> tuple[list[int], list[int]]:
     return firsts, seconds
 
 
-def _cycle(start: int, count: int, period: int) -> np.ndarray:
-    # Positions start, start+1, ... of a cycle of the given period.
-    return (start % period + np.arange(count, dtype=np.int64)) % period
+def _round_robin(step: int, count: int, n: int) -> tuple[list[int], list[int]]:
+    """The round-robin pairs of steps step .. step+count-1 of n agents, as
+    two new lists (firsts, seconds).
+
+    Which path a span takes depends on n alone: a population with at most
+    _TABLE_PAIRS pairs slices its kept round, walked on first use and
+    repeated as often as a span past the round's end needs, and a larger
+    population is walked.
+    """
+    total = n * (n - 1) // 2
+    rank = step % total
+    if total > _TABLE_PAIRS:
+        return _walk(rank, count, n)
+    whole = _ROUNDS.get(n) or _ROUNDS.setdefault(n, _walk(0, total, n))
+    laps = (rank + count - 1) // total + 1
+    if laps > 1:
+        whole = whole[0] * laps, whole[1] * laps
+    return whole[0][rank:rank + count], whole[1][rank:rank + count]
 
 
 class _Schedule:
@@ -165,14 +182,8 @@ class RoundRobin(_Schedule):
 
     def pairs(self, start: int, count: int) -> tuple[list[int], list[int]]:
         """Pairs of steps start .. start+count-1 as (firsts, seconds) lists."""
-        start, count, total = _check_span(start, count, self.n)
-        rank = start % total
-        if total > _TABLE_PAIRS or rank + count > total:
-            return _walk(rank, count, self.n)
-        whole = _ROUNDS.get(self.n)
-        if whole is None:
-            whole = _ROUNDS[self.n] = _walk(0, total, self.n)
-        return whole[0][rank:rank + count], whole[1][rank:rank + count]
+        start, count, _ = _check_span(start, count, self.n)
+        return _round_robin(start, count, self.n)
 
 
 _SKIP_CHUNK = 1 << 16   # draws discarded at a time when skipping ahead
@@ -243,10 +254,22 @@ class StarvationAdversary(_Schedule):
             raise ValueError(
                 f"n={self.n} leaves no pair besides the excluded one before release"
             )
-        before = _cycle(start, starved, max(total - 1, 1))
-        before += before >= self._excluded_rank
-        after = _cycle(start + starved - self.release_step, count - starved, total)
-        return _pairs_from_indices(np.concatenate((before, after)), self.n)
+        # Before the release the schedule cycles through a lap of the other
+        # total - 1 pairs: the round-robin span that starts just after the
+        # excluded pair, with that pair cut out, and step start lies offset
+        # pairs into such a lap. In the span taken here the excluded pair
+        # sits at positions lap - offset + j*total, and exactly skips of
+        # them fall inside it, which leaves starved pairs. The rest is
+        # round-robin counted from the release step.
+        lap, cut = max(total - 1, 1), self._excluded_rank
+        offset = (start - cut) % lap
+        skips = (starved + offset) // lap
+        firsts, seconds = _round_robin(cut + 1 + offset, starved + skips, self.n)
+        del firsts[lap - offset::total], seconds[lap - offset::total]
+        rest = _round_robin(max(start - self.release_step, 0), count - starved, self.n)
+        firsts += rest[0]
+        seconds += rest[1]
+        return firsts, seconds
 
 
 Scheduler = RoundRobin | UniformRandom | StarvationAdversary

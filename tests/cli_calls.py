@@ -129,6 +129,23 @@ CALLS = [
       "--seed", "3", "--scheduler", "adversary",
       "--adversary-release", "20000",
       "--trace", "{dir}/run-adversary-120.trace"]),
+    # the adversary without its first pair: the last rank excluded at a
+    # tabled n, a middle rank above the table, and a run that stalls after
+    # one exchange until the excluded pair's first turn at exactly step 1000
+    ("run-adversary-40-last",
+     ["run", "--random-colors", "uniform", "--n", "40", "--k", "5",
+      "--seed", "3", "--scheduler", "adversary",
+      "--adversary-exclude", "38,39", "--adversary-release", "700",
+      "--trace", "{dir}/run-adversary-40-last.trace"]),
+    ("run-adversary-100-mid",
+     ["run", "--random-colors", "uniform", "--n", "100", "--k", "5",
+      "--seed", "3", "--scheduler", "adversary",
+      "--adversary-exclude", "40,41", "--adversary-release", "9000",
+      "--trace", "{dir}/run-adversary-100-mid.trace"]),
+    ("run-adversary-stall-release",
+     ["run", "--colors", "0,1,0", "--k", "2", "--scheduler", "adversary",
+      "--adversary-exclude", "0,1", "--adversary-release", "1000",
+      "--trace", "-"]),
     # a seeded random run in both formats and with its trace and metrics
     # written to files, and a random-scheduler sweep
     ("run-random-25", RANDOM_25),

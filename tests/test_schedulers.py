@@ -34,13 +34,14 @@ def scalar_schedule(scheduler, steps):
         drawn = [ranked[int(rng.integers(total))]
                  for _ in range(max(steps, default=-1) + 1)]
         return [drawn[t] for t in steps]
+    cut = ranked.index(scheduler.excluded)
     pairs = []
     for t in steps:
         if t >= scheduler.release_step:
             rank = (t - scheduler.release_step) % total
         else:
             rank = t % (total - 1)
-            if rank >= ranked.index(scheduler.excluded):
+            if rank >= cut:
                 rank += 1
         pairs.append(ranked[rank])
     return pairs
@@ -131,8 +132,8 @@ class TestPairTable:
             assert tabled == tuple(part.tolist() for part in computed)
 
     def test_only_populations_up_to_91_agents_keep_a_table(self, monkeypatch):
-        # 91 agents have 4095 pairs, 92 agents 4186; round-robin keeps
-        # its round as lists, apart from the other schedulers' tables
+        # 91 agents have 4095 pairs, 92 agents 4186; round-robin order
+        # keeps its round as lists, apart from UniformRandom's tables
         monkeypatch.setattr(scheduling, "_PAIR_TABLES", {})
         monkeypatch.setattr(scheduling, "_ROUNDS", {})
         run(init_configuration([0, 1] * 46, 2), RoundRobin(92), FixedSteps(5000))
@@ -184,22 +185,34 @@ class TestRoundRobin:
             RoundRobin(3).pairs(0, -1)
 
     def test_spans_equal_the_closed_form(self):
-        # slices of the kept round (n <= 91) and row walks (spans that
-        # cross a round's end, and every span of n >= 92) alike
+        # slices of the kept round (n <= 91), repeated for spans that cross
+        # a round's end, and row walks (every span of n >= 92) alike
         for n in range(2, 96):
             total = pair_count(n)
             for start in (0, total // 2, total - 1, 3 * total):
                 for count in (0, 1, total - 1, total, 2 * total + 3, 4096):
                     assert RoundRobin(n).pairs(start, count) == \
                         scheduling._pairs_from_indices(
-                            scheduling._cycle(start, count, total), n)
+                            (start + np.arange(count)) % total, n)
 
     def test_spans_need_no_numpy(self, monkeypatch):
-        spans = [(n, start, count) for n in (2, 8, 91, 92, 300)
-                 for start, count in ((0, pair_count(n)), (5, 4096),
-                                      (pair_count(n) - 1, 3))]
-        expected = [scalar_schedule(RoundRobin(n), range(start, start + count))
-                    for n, start, count in spans]
+        # round-robin spans, and adversary spans without the first or the
+        # last pair that hold the release; then a whole adversary run
+        scheds = []
+        for n in (2, 8, 91, 92, 300):
+            total = pair_count(n)
+            scheds += [(RoundRobin(n), start, count) for start, count in (
+                (0, total), (5, 4096), (total - 1, 3))]
+            if n > 2:
+                scheds += [(StarvationAdversary(n, pair, release), start, count)
+                           for pair in ((0, 1), (n - 2, n - 1))
+                           for release, start, count in (
+                               (10, 0, 30), (total + 3, total - 2, 4096))]
+        expected = [scalar_schedule(sched, range(start, start + count))
+                    for sched, start, count in scheds]
+        adversary = StarvationAdversary(6, (2, 4), release_step=40)
+        config = init_configuration([0, 1, 1, 2, 2, 2], 3)
+        expected_run = run(config, adversary, FixedSteps(100))
 
         class NoNumpy:
             def __getattr__(self, name):
@@ -207,8 +220,29 @@ class TestRoundRobin:
 
         monkeypatch.setattr(scheduling, "_ROUNDS", {})
         monkeypatch.setattr(scheduling, "np", NoNumpy())
-        assert [pair_list(RoundRobin(n), start, count)
-                for n, start, count in spans] == expected
+        assert [pair_list(sched, start, count)
+                for sched, start, count in scheds] == expected
+        assert run(config, adversary, FixedSteps(100)) == expected_run
+
+    def test_size_alone_picks_the_kept_round(self, monkeypatch):
+        # once the round of an n <= 91 is kept, no span is walked, not even
+        # one that runs past the round's end
+        spans = {n: [(start, count) for start in (0, pair_count(n) - 1, 12_345)
+                     for count in (0, 1, pair_count(n), 2 * pair_count(n) + 3,
+                                   4096)]
+                 for n in (2, 3, 8, 30, 91)}
+        expected = {n: [scalar_schedule(RoundRobin(n), range(start, start + count))
+                        for start, count in spans[n]] for n in spans}
+        for n in spans:
+            RoundRobin(n).pairs(0, 1)
+
+        def no_walk(*args):
+            raise AssertionError("a kept round was walked")
+
+        monkeypatch.setattr(scheduling, "_walk", no_walk)
+        for n in spans:
+            assert [pair_list(RoundRobin(n), start, count)
+                    for start, count in spans[n]] == expected[n]
 
 
 @pytest.mark.parametrize("make, plain", [
@@ -319,6 +353,23 @@ class TestStarvationAdversary:
             StarvationAdversary(3, excluded=(1, 1), release_step=0)
         with pytest.raises(ValueError):
             StarvationAdversary(3, excluded=(0, 1), release_step=-1)
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 30, 91, 92, 120])
+    def test_spans_equal_the_scalar_schedule(self, n):
+        # the kept round (n <= 91) and walks (n >= 92), without the first,
+        # the last and a middle pair, released before, inside and after
+        # each span
+        total = pair_count(n)
+        lap = total - 1
+        counts = [0, 1, lap, total, 4096] + ([2 * total + 3] if n <= 30 else [])
+        for rank in (0, total // 2, lap):
+            excluded = list(combinations(range(n), 2))[rank]
+            for start in (0, lap - 1, lap, 3 * total + 2):
+                for count in counts:
+                    for release in (0, start + 1, start + count // 2, 2**62):
+                        sched = StarvationAdversary(n, excluded, release)
+                        assert pair_list(sched, start, count) == scalar_schedule(
+                            sched, range(start, start + count))
 
     def test_two_agents_have_nothing_else_to_schedule(self):
         sched = StarvationAdversary(2, excluded=(0, 1), release_step=5)
