@@ -1,9 +1,11 @@
 """Population runs: drive a configuration through scheduled interactions.
 
 A Configuration is the ordered population of agents, each one integer
-code s = (bra*k + ket)*k + out in [0, k**3). run() applies scheduler
-pairs in order to those codes until quiescence or a cap, collecting
-metrics and an optional trace. Each interaction is a lookup in a
+code s = (bra*k + ket)*k + out in [0, k**3). _drive, the one run loop,
+applies scheduler pairs in order to a list of those codes until
+quiescence or a cap and counts what happened; run() wraps it, checking
+its options and returning the final Configuration, metrics and an
+optional trace. Each interaction is a lookup in a
 transition table keyed on the two agents' bra-ket pairs (at most k**4
 entries). An entry is what the rule protocol._braket_rule gives for the
 two bra-kets: the two new bra-kets, whether the kets were exchanged and
@@ -208,12 +210,20 @@ class InvariantViolation(AssertionError):
         self.post = post
 
 
-def init_configuration(input_colors, k: int) -> Configuration:
-    """Population of fresh agents: each input color becomes a self-loop."""
+def _self_loops(input_colors, k: int) -> tuple[int, list[int]]:
+    """k and the self-loop code of each input color, checked as plain ints."""
     k = check_k(k)
     loop = k * k + k + 1    # code of the self-loop of color c is c * loop
-    return Configuration(k, tuple([check_color(value, k) * loop
-                                   for value in input_colors]))
+    codes = [check_color(value, k) * loop for value in input_colors]
+    if not codes:
+        raise ValueError("a population needs at least one agent")
+    return k, codes
+
+
+def init_configuration(input_colors, k: int) -> Configuration:
+    """Population of fresh agents: each input color becomes a self-loop."""
+    k, codes = _self_loops(input_colors, k)
+    return Configuration(k, tuple(codes))
 
 
 # Both checks read a transition as the rule gives it, through bra-ket
@@ -386,44 +396,17 @@ def _apply(codes: list[int], firsts: list[int], seconds: list[int], start: int,
     return exchanges, out_updates
 
 
-def run(config: Configuration, scheduler: Scheduler,
-        policy: StopPolicy | None = None, *,
-        assertions: str = "safety",
-        trace: str = "changes",
-        sink: Callable[[list[tuple[int, ...]]], object] | None = None
-        ) -> RunResult:
-    """Drive the configuration through the schedule until the policy stops.
+def _drive(codes: list[int], k: int, scheduler: Scheduler, policy: StopPolicy,
+           assertions: str, trace: str, sink: Callable | None):
+    """The one run loop: step the codes in place until the policy stops.
 
-    Quiescence is checked before the first interaction, after each round
-    of n*(n-1)/2 interactions and where the budget runs out. Under
-    UntilQuiescent the run stops at the first successful check or at the
-    cap, whichever comes first; under FixedSteps it runs exactly the
-    requested number of interactions and the checks only feed the
-    metrics. The scheduler must be built for config.n agents. Assertion
-    levels: "off", "safety" (bra-ket conservation), "full" (safety plus
-    the weight-vector drop at each exchange); any violation raises
-    InvariantViolation.
-
-    sink(records) receives the trace records of each batch, at most BATCH
-    in step order, as soon as the batch is applied; a batch with no record
-    makes no call. With a sink the returned trace holds no records, so a
-    run's memory does not grow with its trace; without one the records
-    are kept in the returned trace.
+    Checks quiescence and fetches batches as run() describes, and hands
+    each batch's trace records to sink (unused when trace is "off").
+    Returns (interactions, ket exchanges, out updates, quiescence step or
+    None).
     """
-    if assertions not in ASSERTION_LEVELS:
-        raise ValueError(f"assertions must be one of {ASSERTION_LEVELS}, "
-                         f"got {assertions!r}")
-    if trace not in ("off", "changes", "full"):
-        raise ValueError(f'trace must be "off", "changes" or "full", got {trace!r}')
-    if policy is None:
-        policy = UntilQuiescent()
-
-    n, k = config.n, config.k
-    if scheduler.n != n:
-        raise ValueError(f"scheduler is for n={scheduler.n} agents, "
-                         f"the configuration has {n}")
+    n = len(codes)
     round_length = max(n * (n - 1) // 2, 1)
-
     stop_on_quiescence = isinstance(policy, UntilQuiescent)
     if stop_on_quiescence:
         cycles = policy.max_cycles
@@ -437,10 +420,6 @@ def run(config: Configuration, scheduler: Scheduler,
         limit = 0
 
     table = _table(k)
-    codes = list(config.codes)
-    kept: list[tuple[int, ...]] = []
-    if sink is None:
-        sink = kept.extend
     records: list[tuple[int, ...]] = []
     total = exchanges = out_updates = 0
     quiescence_step = None
@@ -464,14 +443,53 @@ def run(config: Configuration, scheduler: Scheduler,
         total += count
         exchanges += batch_exchanges
         out_updates += batch_out_updates
+    return total, exchanges, out_updates, quiescence_step
 
-    final = Configuration(k, tuple(codes))
-    metrics = RunMetrics(
-        total_interactions=total,
-        ket_exchanges=exchanges,
-        out_updates=out_updates,
-        quiescence_step=quiescence_step,
-        converged=quiescence_step is not None,
-        final_outputs=final.output_counts(),
-    )
-    return RunResult(final, RunTrace(tuple(kept), k), metrics)
+
+def run(config: Configuration, scheduler: Scheduler,
+        policy: StopPolicy | None = None, *,
+        assertions: str = "safety",
+        trace: str = "changes",
+        sink: Callable[[list[tuple[int, ...]]], object] | None = None
+        ) -> RunResult:
+    """Drive the configuration through the schedule until the policy stops.
+
+    Quiescence is checked before the first interaction, after each round
+    of n*(n-1)/2 interactions and where the budget runs out. Under
+    UntilQuiescent the run stops at the first successful check or at the
+    cap, whichever comes first; under FixedSteps it runs exactly the
+    requested number of interactions and the checks only feed the
+    metrics. The scheduler must be built for config.n agents. Assertion
+    levels: "off", "safety" (bra-ket conservation), "full" (safety plus
+    the weight-vector drop at each exchange); any violation raises
+    InvariantViolation.
+
+    sink(records) receives the trace records of each batch, at most BATCH
+    in step order, as soon as the batch is applied; a batch with no record
+    makes no call. With a sink the returned trace holds no records, so a
+    run's memory does not grow with its trace; without one the records
+    are kept in the returned trace.
+
+    run checks its options, wraps _drive, the one run loop, around a copy
+    of the codes and builds the result objects from what it returns.
+    """
+    if assertions not in ASSERTION_LEVELS:
+        raise ValueError(f"assertions must be one of {ASSERTION_LEVELS}, "
+                         f"got {assertions!r}")
+    if trace not in ("off", "changes", "full"):
+        raise ValueError(f'trace must be "off", "changes" or "full", got {trace!r}')
+    if policy is None:
+        policy = UntilQuiescent()
+    if scheduler.n != config.n:
+        raise ValueError(f"scheduler is for n={scheduler.n} agents, "
+                         f"the configuration has {config.n}")
+
+    codes = list(config.codes)
+    kept: list[tuple[int, ...]] = []
+    total, exchanges, out_updates, quiescence_step = _drive(
+        codes, config.k, scheduler, policy, assertions, trace,
+        kept.extend if sink is None else sink)
+    final = Configuration(config.k, tuple(codes))
+    metrics = RunMetrics(total, exchanges, out_updates, quiescence_step,
+                         quiescence_step is not None, final.output_counts())
+    return RunResult(final, RunTrace(tuple(kept), config.k), metrics)

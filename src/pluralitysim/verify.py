@@ -12,11 +12,13 @@ whose search applies the engine's checked transitions at full assertions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .engine import (InvariantViolation, UntilQuiescent, _apply, _state, _table,
-                     init_configuration, run)
+from .engine import (InvariantViolation, UntilQuiescent, _apply, _drive,
+                     _self_loops, _state, _table)
+from .engine import run  # noqa: F401  (bench/tracer.py hooks verify.run)
 from .oracle import _layer_arcs, brute_majority
 from .protocol import AgentState, _count
 from .schedulers import RoundRobin
@@ -122,26 +124,26 @@ def checked_run(colors, k: int,
     the bra-ket balance after every step and the weight-vector drop at
     every exchange (runtime assertions), quiescence within the cap, final
     bra-ket multiset equal to the prediction, and all outputs equal to
-    the plurality winner when it is unique.
+    the plurality winner when it is unique. The engine's run loop steps
+    the list of self-loop codes in place, with no Configuration or run()
+    result built.
     """
-    config = init_configuration(colors, k)
-    k = config.k
+    k, codes = _self_loops(colors, k)
     # A fresh agent outputs its color: the validated colors as plain ints.
-    colors = tuple([code % k for code in config.codes])
+    colors = tuple([code % k for code in codes])
     try:
-        final, _, metrics = run(config, RoundRobin(config.n),
-                                UntilQuiescent(cap_cycles),
-                                assertions="full", trace="off")
+        total, _, _, quiescence_step = _drive(
+            codes, k, RoundRobin(len(codes)), UntilQuiescent(cap_cycles),
+            "full", "off", None)
     except InvariantViolation as violation:
         return InstanceFailure(k, colors, "invariant", str(violation))
-    if not metrics.converged:
-        return InstanceFailure(
-            k, colors, "termination",
-            f"not quiescent after {metrics.total_interactions} interactions")
+    if quiescence_step is None:
+        return InstanceFailure(k, colors, "termination",
+                               f"not quiescent after {total} interactions")
     # Bra-ket indices bra*k + ket sort as their (bra, ket) pairs do.
     layers = _layer_arcs(colors)
     predicted = sorted([g * k + h for arcs in layers for g, h in arcs])
-    reached = sorted([code // k for code in final.codes])
+    reached = sorted([code // k for code in codes])
     if reached != predicted:
         return InstanceFailure(
             k, colors, "stable-multiset",
@@ -150,10 +152,10 @@ def checked_run(colors, k: int,
     # The deepest layer holds the most frequent colors: a single arc there
     # is the self-loop of a unique winner.
     deepest = layers[-1]
-    if len(deepest) == 1 and set(metrics.final_outputs) != {deepest[0][0]}:
+    if len(deepest) == 1 and any(code % k != deepest[0][0] for code in codes):
+        outputs = dict(Counter([code % k for code in codes]))
         return InstanceFailure(
-            k, colors, "output",
-            f"winner {deepest[0][0]} but outputs {dict(metrics.final_outputs)}")
+            k, colors, "output", f"winner {deepest[0][0]} but outputs {outputs}")
     return None
 
 
@@ -186,10 +188,9 @@ def reachable_state_set(input_colors, k: int) -> set[AgentState]:
     small-population check that nothing outside the k**3 state
     enumeration ever appears.
     """
-    config = init_configuration(input_colors, k)
-    k = config.k
+    k, codes = _self_loops(input_colors, k)
     table = _table(k)
-    start = tuple(sorted(config.codes))
+    start = tuple(sorted(codes))
     seen = {start}
     frontier = [start]
     while frontier:

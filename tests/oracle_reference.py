@@ -16,16 +16,22 @@ instead of comparing count vectors, and the rotation-reduced instances
 by filtering every sorted multiset instead of walking count vectors.
 all_states lists the k**3 states as triples, and configuration builds a
 population from AgentStates by encoding each one by hand.
+checked_run_through_run is verify.checked_run as it was when it called
+the public run() and read the Configuration and metrics it returned.
 Tests compare the fast library code against these.
 """
 
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
-from pluralitysim.engine import Configuration, TraceEvent
+from pluralitysim.engine import (Configuration, InvariantViolation, TraceEvent,
+                                 UntilQuiescent, init_configuration, run)
+from pluralitysim.oracle import _layer_arcs
 from pluralitysim.protocol import (AgentState, InteractionResult, _weight,
                                    apply_interaction, check_k, validate_state,
                                    weight)
+from pluralitysim.schedulers import RoundRobin
+from pluralitysim.verify import InstanceFailure
 
 
 def all_states(k):
@@ -299,3 +305,36 @@ def exhaustive_quiescent_outcomes(input_colors, k):
             outcomes.add(frozenset(
                 Counter((s.bra, s.ket) for s in cfg).items()))
     return [Counter(dict(m)) for m in outcomes]
+
+
+def checked_run_through_run(colors, k, cap_cycles=None):
+    """verify.checked_run on top of run(): the same checks, in the same
+    order, read from the RunResult of a full-assertion round-robin run of
+    init_configuration's population."""
+    config = init_configuration(colors, k)
+    k = config.k
+    colors = tuple([code % k for code in config.codes])
+    try:
+        final, _, metrics = run(config, RoundRobin(config.n),
+                                UntilQuiescent(cap_cycles),
+                                assertions="full", trace="off")
+    except InvariantViolation as violation:
+        return InstanceFailure(k, colors, "invariant", str(violation))
+    if not metrics.converged:
+        return InstanceFailure(
+            k, colors, "termination",
+            f"not quiescent after {metrics.total_interactions} interactions")
+    layers = _layer_arcs(colors)
+    predicted = sorted([g * k + h for arcs in layers for g, h in arcs])
+    reached = sorted([code // k for code in final.codes])
+    if reached != predicted:
+        return InstanceFailure(
+            k, colors, "stable-multiset",
+            f"reached {[divmod(g, k) for g in reached]}, "
+            f"predicted {[divmod(g, k) for g in predicted]}")
+    deepest = layers[-1]
+    if len(deepest) == 1 and set(metrics.final_outputs) != {deepest[0][0]}:
+        return InstanceFailure(
+            k, colors, "output",
+            f"winner {deepest[0][0]} but outputs {dict(metrics.final_outputs)}")
+    return None

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_reference import (all_instances, all_states, instances_by_filter,
-                              least_sorted_rotation, reachable_states_by_search)
-from pluralitysim import engine, protocol, verify
-from pluralitysim.engine import Configuration, InvariantViolation
+import oracle_reference
+from oracle_reference import (all_instances, all_states, checked_run_through_run,
+                              instances_by_filter, least_sorted_rotation,
+                              reachable_states_by_search)
+from pluralitysim import cli, engine, protocol, verify
+from pluralitysim.engine import InvariantViolation
 from pluralitysim.protocol import AgentState
 from pluralitysim.verify import (checked_run, enumerate_instances,
                                  random_instance, reachable_state_set,
                                  verify_battery)
+from test_engine import RULE_MUTANTS
 
 
 @st.composite
@@ -131,19 +134,30 @@ class TestCheckedRun:
         assert failure.check == "output"
         assert failure.detail == "winner 0 but outputs {1: 3}"
 
+    def test_output_detail_counts_outputs_in_first_seen_order(self, monkeypatch):
+        # [1, 0] settles into (1, 0), (0, 1) with outs 1 and 0; a deepest
+        # layer of (1, 0) alone names 1 the winner
+        for module in (verify, oracle_reference):
+            monkeypatch.setattr(module, "_layer_arcs",
+                                lambda colors: [[(0, 1)], [(1, 0)]])
+        expected = verify.InstanceFailure(2, (1, 0), "output",
+                                          "winner 1 but outputs {1: 1, 0: 1}")
+        assert checked_run_through_run([1, 0], 2) == expected
+        assert checked_run([1, 0], 2) == expected
+
     def test_flags_two_swapped_kets_with_the_exact_detail(self, monkeypatch):
         # The run settles into (0, 1), (1, 2), (2, 0), (2, 2); swapping the
         # kets of agents 0 and 1 keeps the balance but not the multiset.
-        real_run = verify.run
+        real_drive = verify._drive
 
-        def swapped(*args, **kwargs):
-            final, trace, metrics = real_run(*args, **kwargs)
-            (a, b, *rest), k = final.codes, final.k
+        def swapped(codes, k, *args):
+            counts = real_drive(codes, k, *args)
+            a, b = codes[:2]
             ket_a, ket_b = a // k % k, b // k % k
-            codes = (a + (ket_b - ket_a) * k, b + (ket_a - ket_b) * k, *rest)
-            return Configuration(k, codes), trace, metrics
+            codes[:2] = a + (ket_b - ket_a) * k, b + (ket_a - ket_b) * k
+            return counts
 
-        monkeypatch.setattr("pluralitysim.verify.run", swapped)
+        monkeypatch.setattr("pluralitysim.verify._drive", swapped)
         assert checked_run([0, 1, 2, 2], 3) == verify.InstanceFailure(
             3, (0, 1, 2, 2), "stable-multiset",
             "reached [(0, 2), (1, 1), (2, 0), (2, 2)], "
@@ -160,6 +174,59 @@ class TestCheckedRun:
         assert (failure.k, failure.colors) == (3, (0, 1))
         assert type(failure.k) is int
         assert all(type(c) is int for c in failure.colors)
+
+
+def outcome(check, colors, k, cap_cycles=None):
+    # what the check returns, or the type and message of what it raises
+    try:
+        return check(colors, k, cap_cycles)
+    except Exception as error:
+        return type(error), str(error)
+
+
+class TestCheckedRunAgainstRun:
+    # checked_run steps the codes through the engine's run loop itself;
+    # checked_run_through_run reads the same checks from run()'s result.
+    @pytest.mark.parametrize("cap_cycles", [None, 0, 1])
+    def test_every_instance_up_to_eight_agents_and_six_colors(self, cap_cycles):
+        failures = 0
+        for k, colors in enumerate_instances(8, 6):
+            expected = checked_run_through_run(colors, k, cap_cycles)
+            assert checked_run(colors, k, cap_cycles) == expected, (k, colors)
+            failures += expected is not None
+        # cap 0 passes only the 48 one-color instances (one per k and n), and
+        # cap 1 fails the 680 of the pinned verify-cap-1 call's FAIL lines
+        assert failures == {None: 0, 0: 982 - 48, 1: 680}[cap_cycles]
+
+    @pytest.mark.parametrize("mutant", RULE_MUTANTS,
+                             ids=[mutant.__name__[1:] for mutant in RULE_MUTANTS])
+    def test_every_small_instance_under_a_rule_mutant(self, monkeypatch, mutant):
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", mutant)
+        checks = set()
+        for k, colors in enumerate_instances(5, 4):
+            expected = outcome(checked_run_through_run, colors, k)
+            assert outcome(checked_run, colors, k) == expected, (k, colors)
+            checks.add(getattr(expected, "check", expected))
+        assert checks - {None}
+
+    @pytest.mark.parametrize("colors, k", [
+        ([], 3), ((), 1), ([0, True], 2), ([0, 2], 2), ([1, 0], 1), ([0], 0),
+        ([0], -1), ([0], 1.0), (["0"], 2)])
+    def test_bad_inputs_raise_the_same_error(self, colors, k):
+        expected = outcome(checked_run_through_run, colors, k)
+        assert isinstance(expected, tuple) and expected[0] is ValueError
+        assert outcome(checked_run, colors, k) == expected
+
+    @pytest.mark.parametrize("cap_cycles", [None, 0])
+    def test_numpy_inputs_act_as_plain_ints(self, cap_cycles):
+        for colors, k in ((np.array([0, 1, 1, 2]), np.int64(3)),
+                          ((np.uint8(1), np.int32(0)), np.int16(2))):
+            expected = checked_run_through_run(colors, k, cap_cycles)
+            failure = checked_run(colors, k, cap_cycles)
+            assert failure == expected
+            assert (failure is None) == (cap_cycles is None)
+            assert failure is None or all(
+                type(value) is int for value in (failure.k, *failure.colors))
 
 
 class TestVerifyBattery:
@@ -204,6 +271,25 @@ class TestVerifyBattery:
         instances = list(enumerate_instances(5, 3))
         assert verify_battery(instances).ok
         assert len(calls) == sum(len(colors) for _, colors in instances) == 125
+
+    def test_needs_no_run_result(self, monkeypatch, capsys):
+        # the battery steps codes through the run loop itself: neither it
+        # nor the verify command builds a population or run()'s results
+        class Raises:
+            def __init__(self, name):
+                self.name = name
+
+            def __call__(self, *args, **kwargs):
+                raise AssertionError(f"{self.name} was called")
+
+        for module, name in ((verify, "run"), (engine, "RunMetrics"),
+                             (engine, "RunTrace"), (engine, "RunResult"),
+                             (engine, "Configuration")):
+            monkeypatch.setattr(module, name, Raises(name))
+        report = verify_battery(enumerate_instances(6, 4))
+        assert report.ok and report.instances == 105
+        assert cli.main(["verify", "--n-max", "6", "--k-max", "4"]) == 0
+        assert capsys.readouterr().out.endswith("all checks passed\n")
 
     def test_memory_does_not_grow_with_the_instance_count(self):
         # The battery tallies one instance at a time, so ten times the
