@@ -35,8 +35,8 @@ from itertools import product
 
 import numpy as np
 
-from .engine import (FixedSteps, InvariantViolation, UntilQuiescent, _state,
-                     init_configuration, run)
+from .engine import (FixedSteps, InvariantViolation, UntilQuiescent, _drive,
+                     _self_loops, _state, init_configuration, run)
 from .oracle import brute_majority
 from .schedulers import _MAX_AGENTS, make_scheduler
 from .verify import enumerate_instances, random_instance, verify_battery
@@ -438,21 +438,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_flag("--cap", args.cap)
     _check_flag("--seed", args.seed)
     trials = args.trials
+    policy = UntilQuiescent(args.cap)
     rows = []
     all_converged = True
     for n, k in product(n_values, k_values):
         interactions, exchanges, converged = [], [], 0
         for trial in range(trials):
             rng = np.random.default_rng([args.seed, n, k, trial])
-            colors = [int(c) for c in rng.integers(0, k, size=n)]
+            _, codes = _self_loops(rng.integers(0, k, size=n).tolist(), k)
             scheduler = make_scheduler(args.scheduler, n,
                                        seed=[args.seed, n, k, trial, 1])
-            _, _, metrics = run(init_configuration(colors, k), scheduler,
-                                UntilQuiescent(args.cap),
-                                assertions="safety", trace="off")
-            interactions.append(metrics.total_interactions)
-            exchanges.append(metrics.ket_exchanges)
-            converged += metrics.converged
+            # _drive, not run(): a trial needs only the loop's counts.
+            total, exchanged, _, quiescence_step = _drive(
+                codes, k, scheduler, policy, "safety", "off", None)
+            interactions.append(total)
+            exchanges.append(exchanged)
+            converged += quiescence_step is not None
         all_converged &= converged == trials
         rows.append({
             "n": n, "k": k, "trials": trials, "seed": args.seed,

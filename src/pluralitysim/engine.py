@@ -1,13 +1,15 @@
 """Population runs: drive a configuration through scheduled interactions.
 
 A Configuration is the ordered population of agents, each one integer
-code s = (bra*k + ket)*k + out in [0, k**3). _drive, the one run loop,
-applies scheduler pairs in order to a list of those codes until
-quiescence or a cap and counts what happened; run() wraps it, checking
-its options and returning the final Configuration, metrics and an
-optional trace. Each interaction is a lookup in a
-transition table keyed on the two agents' bra-ket pairs (at most k**4
-entries). An entry is what the rule protocol._braket_rule gives for the
+code s = (bra*k + ket)*k + out in [0, k**3); it checks every code in one
+loop and keeps them as a new tuple. _drive, the one run loop, applies
+scheduler pairs in order to a list of those codes until quiescence or a
+cap and counts what happened. run() wraps it, checking its options and
+returning the final Configuration, metrics and an optional trace; the
+verify battery and the CLI's sweep trials call it directly on lists of
+self-loop codes and build no Configuration. Each interaction is a lookup
+in a transition table keyed on the two agents' bra-ket pairs (at most
+k**4 entries). An entry is what the rule protocol._braket_rule gives for the
 two bra-kets: the two new bra-kets, whether the kets were exchanged and
 the color a post-swap self-loop broadcasts (or -1), with both bra-kets
 multiplied by k so that adding an out gives a code; the out fields
@@ -56,11 +58,12 @@ class Configuration:
     """The population at an instant: k plus one state code per agent.
 
     codes[i] = (bra*k + ket)*k + out, the layout of run traces. Construction
-    checks k and every code and stores them as plain ints, but not the
-    bra-ket balance: that is a property of reachable populations (initial
-    states are self-loops and interactions only permute kets), enforced
-    during runs. states decodes the codes; the other views are the two
-    multisets the checks read: bra-ket pairs and outs.
+    checks k and, in one loop, every code, and stores the codes as a new
+    tuple of plain ints. It does not check the bra-ket balance: that is a
+    property of reachable populations (initial states are self-loops and
+    interactions only permute kets), enforced during runs. states decodes
+    the codes; the other views are the two multisets the checks read:
+    bra-ket pairs and outs.
     """
 
     k: int
@@ -68,13 +71,9 @@ class Configuration:
 
     def __post_init__(self):
         k = check_k(self.k)
-        codes = self.codes
-        # One pass over a tuple of plain ints; the loop names a bad code.
-        if not (type(codes) is tuple and codes and all([type(c) is int for c in codes])
-                and 0 <= min(codes) and max(codes) < k**3):
-            codes = tuple([_check_code(code, k) for code in codes])
-            if not codes:
-                raise ValueError("a population needs at least one agent")
+        codes = tuple([_check_code(code, k) for code in self.codes])
+        if not codes:
+            raise ValueError("a population needs at least one agent")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "codes", codes)
 

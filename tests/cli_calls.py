@@ -161,6 +161,9 @@ CALLS = [
     ("console-verify", ["verify", "--n-max", "4", "--k-max", "3"]),
     ("console-sweep",
      ["sweep", "--n-list", "6", "--k-list", "2", "--trials", "2"]),
+    ("console-sweep-random",
+     ["sweep", "--n-list", "6", "--k-list", "2,3", "--trials", "2",
+      "--scheduler", "random"]),
 ]
 
 

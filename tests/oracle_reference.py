@@ -17,20 +17,25 @@ by filtering every sorted multiset instead of walking count vectors.
 all_states lists the k**3 states as triples, and configuration builds a
 population from AgentStates by encoding each one by hand.
 checked_run_through_run is verify.checked_run as it was when it called
-the public run() and read the Configuration and metrics it returned.
+the public run() and read the Configuration and metrics it returned, and
+sweep_rows_through_run is the sweep command's trial loop as it was when
+it did the same.
 Tests compare the fast library code against these.
 """
 
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
+import numpy as np
+
+from pluralitysim.cli import EXIT_NO_CONVERGENCE, EXIT_OK
 from pluralitysim.engine import (Configuration, InvariantViolation, TraceEvent,
                                  UntilQuiescent, init_configuration, run)
 from pluralitysim.oracle import _layer_arcs
 from pluralitysim.protocol import (AgentState, InteractionResult, _weight,
                                    apply_interaction, check_k, validate_state,
                                    weight)
-from pluralitysim.schedulers import RoundRobin
+from pluralitysim.schedulers import RoundRobin, make_scheduler
 from pluralitysim.verify import InstanceFailure
 
 
@@ -338,3 +343,34 @@ def checked_run_through_run(colors, k, cap_cycles=None):
             k, colors, "output",
             f"winner {deepest[0][0]} but outputs {dict(metrics.final_outputs)}")
     return None
+
+
+def sweep_rows_through_run(n_values, k_values, trials, seed, scheduler,
+                           cap=None):
+    """The sweep command's rows and exit code, from trials that call run()
+    on init_configuration's population and read its metrics; a trial's
+    InvariantViolation propagates."""
+    rows = []
+    all_converged = True
+    for n, k in product(n_values, k_values):
+        interactions, exchanges, converged = [], [], 0
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, n, k, trial])
+            colors = [int(c) for c in rng.integers(0, k, size=n)]
+            pairs = make_scheduler(scheduler, n, seed=[seed, n, k, trial, 1])
+            _, _, metrics = run(init_configuration(colors, k), pairs,
+                                UntilQuiescent(cap),
+                                assertions="safety", trace="off")
+            interactions.append(metrics.total_interactions)
+            exchanges.append(metrics.ket_exchanges)
+            converged += metrics.converged
+        all_converged &= converged == trials
+        rows.append({
+            "n": n, "k": k, "trials": trials, "seed": seed,
+            "converged": converged,
+            "mean_interactions": round(sum(interactions) / trials, 6),
+            "max_interactions": max(interactions),
+            "mean_ket_exchanges": round(sum(exchanges) / trials, 6),
+            "max_ket_exchanges": max(exchanges),
+        })
+    return rows, EXIT_OK if all_converged else EXIT_NO_CONVERGENCE

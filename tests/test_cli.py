@@ -11,13 +11,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pluralitysim import cli, verify
+from cli_calls import CALLS
+from oracle_reference import sweep_rows_through_run
+from pluralitysim import cli, engine, verify
 from pluralitysim.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE,
                               EXIT_VIOLATION, METRICS_FIELDS, SWEEP_FIELDS,
                               TRACE_FIELDS, main, parse_color_list)
-from pluralitysim.engine import init_configuration, run
+from pluralitysim.engine import InvariantViolation, init_configuration, run
 from pluralitysim.protocol import _braket_rule
 from pluralitysim.schedulers import RoundRobin
+from test_engine import RULE_MUTANTS
 
 
 def run_cli(capsys, *args):
@@ -546,6 +549,76 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--n-list", sizes["--n-list"],
                                  "--k-list", sizes["--k-list"], "--trials", "1")
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_needs_no_run_result(self, capsys, monkeypatch):
+        # the trials step codes through the run loop itself: the command
+        # builds no population or run()'s results
+        class Raises:
+            def __init__(self, name):
+                self.name = name
+
+            def __call__(self, *args, **kwargs):
+                raise AssertionError(f"{self.name} was called")
+
+        argv = dict(CALLS)["sweep-random"]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK and expected
+        for module, name in ((cli, "run"), (cli, "init_configuration"),
+                             (engine, "Configuration"), (engine, "RunMetrics"),
+                             (engine, "RunTrace"), (engine, "RunResult")):
+            monkeypatch.setattr(module, name, Raises(name))
+        assert run_cli(capsys, *argv) == (EXIT_OK, expected, "")
+
+
+def sweep_outcome(capsys, n_values, k_values, trials, seed, scheduler,
+                  cap=None):
+    """(exit code, rows, stderr) of the sweep command and of
+    sweep_rows_through_run, the reference, on the same arguments; the
+    reference's InvariantViolation becomes exit 4 and its message."""
+    argv = ["sweep", "--n-list", ",".join(map(str, n_values)),
+            "--k-list", ",".join(map(str, k_values)), "--trials", str(trials),
+            "--seed", str(seed), "--scheduler", scheduler,
+            "--format", "json-lines"]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    code, out, err = run_cli(capsys, *argv)
+    actual = code, [json.loads(line) for line in out.splitlines()], err
+    try:
+        rows, code = sweep_rows_through_run(n_values, k_values, trials, seed,
+                                            scheduler, cap)
+        expected = code, rows, ""
+    except InvariantViolation as violation:
+        expected = EXIT_VIOLATION, [], f"invariant violation: {violation}\n"
+    return actual, expected
+
+
+class TestSweepAgainstRun:
+    # cmd_sweep steps each trial's codes through the engine's run loop;
+    # sweep_rows_through_run reads the same numbers from run()'s result.
+    @pytest.mark.parametrize("cap", [None, 0, 1])
+    @pytest.mark.parametrize("scheduler", ["roundrobin", "random"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_every_row_and_exit_code_of_a_grid(self, capsys, seed, scheduler,
+                                               cap):
+        actual, expected = sweep_outcome(capsys, [1, 2, 3, 6, 12, 30],
+                                         [1, 2, 4, 8], 5, seed, scheduler, cap)
+        assert actual == expected
+        # a cap of 0 or 1 leaves some trials short of quiescence
+        assert expected[0] == (EXIT_OK if cap is None else EXIT_NO_CONVERGENCE)
+
+    @pytest.mark.parametrize("scheduler", ["roundrobin", "random"])
+    @pytest.mark.parametrize("mutant", RULE_MUTANTS,
+                             ids=[mutant.__name__[1:] for mutant in RULE_MUTANTS])
+    def test_each_cell_under_a_rule_mutant(self, capsys, monkeypatch, mutant,
+                                           scheduler):
+        # The mutants raise, run to the cap (exit 3) or converge; under
+        # _drops_the_exchange_flag self-loops are quiescent at step 0.
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", mutant)
+        for n in (2, 3, 6):
+            for k in (2, 3, 4):
+                actual, expected = sweep_outcome(capsys, [n], [k], 3, 3,
+                                                 scheduler)
+                assert actual == expected, (n, k)
 
 
 class TestBudgetFlags:

@@ -72,8 +72,7 @@ class TestConfiguration:
 
     def test_stores_any_iterable_of_codes_as_a_tuple(self):
         codes = (0, 7, 5)
-        assert Configuration(2, codes).codes is codes
-        for given in ([0, 7, 5], iter(codes), (0, np.int8(7), 5)):
+        for given in (codes, [0, 7, 5], iter(codes), (0, np.int8(7), 5)):
             config = Configuration(2, given)
             assert type(config.codes) is tuple and config.codes == codes
 
