@@ -16,7 +16,12 @@ document is a single line); "csv" writes a header row plus data rows,
 with list- or mapping-valued cells JSON-encoded.
 
 Exit codes: 0 success; 2 usage error; 3 no quiescence within the cap;
-4 runtime invariant violation or failed correctness check.
+4 runtime invariant violation or failed correctness check. Every
+converged population is judged by verify._judge, the one comparison
+with the oracle: run prints "converged but failed check <check>:
+<detail>" and sweep, after writing its rows, "trial <t> of n=<n>,
+k=<k> failed check <check>: <detail>" for its first failing trial, both
+on stderr, and both exit 4; in sweep that takes precedence over exit 3.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .engine import (FixedSteps, InvariantViolation, UntilQuiescent, _drive,
                      _self_loops, _state, init_configuration, run)
 from .oracle import brute_majority
 from .schedulers import _MAX_AGENTS, make_scheduler
-from .verify import enumerate_instances, random_instance, verify_battery
+from .verify import _judge, enumerate_instances, random_instance, verify_battery
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -365,9 +370,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     with (tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
           if args.trace else nullcontext()) as spool:
         sink = _trace_sink(spool, n, k, args.format) if args.trace else None
-        _, _, metrics = run(config, scheduler, policy,
-                            assertions=args.assertion_level,
-                            trace="changes" if args.trace else "off", sink=sink)
+        final, _, metrics = run(
+            config, scheduler, policy, assertions=args.assertion_level,
+            trace="changes" if args.trace else "off", sink=sink)
 
         winner, unique = brute_majority(colors)
         doc = {
@@ -397,12 +402,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"no quiescence within {metrics.total_interactions} interactions",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    if unique:
-        outputs = metrics.final_outputs
-        if set(outputs) != {winner}:
-            print(f"converged but outputs {dict(outputs)} != winner {winner}",
-                  file=sys.stderr)
-            return EXIT_VIOLATION
+    verdict = _judge(final.codes, colors, k)
+    if verdict is not None:
+        print("converged but failed check %s: %s" % verdict, file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 
@@ -441,19 +444,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     policy = UntilQuiescent(args.cap)
     rows = []
     all_converged = True
+    failed = None   # (trial, n, k, check, detail) of the first failed check
     for n, k in product(n_values, k_values):
         interactions, exchanges, converged = [], [], 0
         for trial in range(trials):
             rng = np.random.default_rng([args.seed, n, k, trial])
-            _, codes = _self_loops(rng.integers(0, k, size=n).tolist(), k)
+            colors = rng.integers(0, k, size=n).tolist()
+            _, codes = _self_loops(colors, k)
             scheduler = make_scheduler(args.scheduler, n,
                                        seed=[args.seed, n, k, trial, 1])
-            # _drive, not run(): a trial needs only the loop's counts.
+            # _drive, not run(): a trial needs only the loop's counts and codes.
             total, exchanged, _, quiescence_step = _drive(
                 codes, k, scheduler, policy, "safety", "off", None)
             interactions.append(total)
             exchanges.append(exchanged)
-            converged += quiescence_step is not None
+            if quiescence_step is not None:
+                converged += 1
+                verdict = _judge(codes, colors, k)
+                if verdict is not None and failed is None:
+                    failed = trial, n, k, *verdict
         all_converged &= converged == trials
         rows.append({
             "n": n, "k": k, "trials": trials, "seed": args.seed,
@@ -464,6 +473,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "max_ket_exchanges": max(exchanges),
         })
     write_text(args.out, render_rows(rows, SWEEP_FIELDS, args.format))
+    if failed is not None:
+        print("trial %d of n=%d, k=%d failed check %s: %s" % failed,
+              file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 

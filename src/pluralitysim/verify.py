@@ -4,7 +4,10 @@ An instance is (k, input colors). For each instance this module runs the
 round-robin schedule to quiescence with full runtime assertions, then
 compares the outcome against the oracle module: the final bra-ket
 multiset must equal the prediction, and with a unique plurality winner
-every agent must output it. Instance generators cover exhaustive
+every agent must output it. Those comparisons are _judge, the only
+comparison of a quiescent population with the oracle in the package:
+the CLI's run and sweep call it on their converged populations too, and
+exit 4 on a failed check. Instance generators cover exhaustive
 enumeration (deduplicated under circle rotation, the symmetry the
 dynamics actually have), random sampling, and exhaustive reachability,
 whose search applies the engine's checked transitions at full assertions.
@@ -140,22 +143,31 @@ def checked_run(colors, k: int,
     if quiescence_step is None:
         return InstanceFailure(k, colors, "termination",
                                f"not quiescent after {total} interactions")
+    verdict = _judge(codes, colors, k)
+    return None if verdict is None else InstanceFailure(k, colors, *verdict)
+
+
+def _judge(codes, colors, k: int) -> tuple[str, str] | None:
+    """The oracle's verdict on a quiescent population: None, or the failed
+    check and its detail.
+
+    codes are the final state codes, colors the inputs they started from
+    as plain ints below k. The bra-ket multiset must equal the prediction,
+    then with a unique plurality winner every output must be that winner.
+    """
     # Bra-ket indices bra*k + ket sort as their (bra, ket) pairs do.
     layers = _layer_arcs(colors)
     predicted = sorted([g * k + h for arcs in layers for g, h in arcs])
     reached = sorted([code // k for code in codes])
     if reached != predicted:
-        return InstanceFailure(
-            k, colors, "stable-multiset",
-            f"reached {[divmod(g, k) for g in reached]}, "
-            f"predicted {[divmod(g, k) for g in predicted]}")
+        return ("stable-multiset", f"reached {[divmod(g, k) for g in reached]}, "
+                f"predicted {[divmod(g, k) for g in predicted]}")
     # The deepest layer holds the most frequent colors: a single arc there
     # is the self-loop of a unique winner.
     deepest = layers[-1]
     if len(deepest) == 1 and any(code % k != deepest[0][0] for code in codes):
         outputs = dict(Counter([code % k for code in codes]))
-        return InstanceFailure(
-            k, colors, "output", f"winner {deepest[0][0]} but outputs {outputs}")
+        return "output", f"winner {deepest[0][0]} but outputs {outputs}"
     return None
 
 

@@ -19,7 +19,9 @@ population from AgentStates by encoding each one by hand.
 checked_run_through_run is verify.checked_run as it was when it called
 the public run() and read the Configuration and metrics it returned, and
 sweep_rows_through_run is the sweep command's trial loop as it was when
-it did the same.
+it did the same. verdict_by_layers is verify._judge on such a
+Configuration, from the drained layers and brute_majority instead of the
+layer arcs.
 Tests compare the fast library code against these.
 """
 
@@ -28,10 +30,10 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from pluralitysim.cli import EXIT_NO_CONVERGENCE, EXIT_OK
+from pluralitysim.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VIOLATION
 from pluralitysim.engine import (Configuration, InvariantViolation, TraceEvent,
                                  UntilQuiescent, init_configuration, run)
-from pluralitysim.oracle import _layer_arcs
+from pluralitysim.oracle import _layer_arcs, brute_majority
 from pluralitysim.protocol import (AgentState, InteractionResult, _weight,
                                    apply_interaction, check_k, validate_state,
                                    weight)
@@ -345,25 +347,50 @@ def checked_run_through_run(colors, k, cap_cycles=None):
     return None
 
 
+def verdict_by_layers(final, colors):
+    """verify._judge's verdict on a quiescent Configuration and the colors
+    it started from, in _judge's words: None, or (check, detail).
+
+    The prediction is stable_multiset_by_layers and the winner
+    brute_majority's; both lists are sorted (bra, ket) pairs.
+    """
+    reached = sorted(final.braket_counts().elements())
+    predicted = sorted(stable_multiset_by_layers(colors).elements())
+    if reached != predicted:
+        return "stable-multiset", f"reached {reached}, predicted {predicted}"
+    winner, unique = brute_majority(colors)
+    outputs = Counter(state.out for state in final.states)
+    if unique and set(outputs) != {winner}:
+        return "output", f"winner {winner} but outputs {dict(outputs)}"
+    return None
+
+
 def sweep_rows_through_run(n_values, k_values, trials, seed, scheduler,
                            cap=None):
-    """The sweep command's rows and exit code, from trials that call run()
-    on init_configuration's population and read its metrics; a trial's
-    InvariantViolation propagates."""
+    """The sweep command's rows, exit code and stderr, from trials that call
+    run() on init_configuration's population, read its metrics and judge
+    each converged trial's final Configuration with verdict_by_layers; a
+    trial's InvariantViolation propagates."""
     rows = []
     all_converged = True
+    failed = None
     for n, k in product(n_values, k_values):
         interactions, exchanges, converged = [], [], 0
         for trial in range(trials):
             rng = np.random.default_rng([seed, n, k, trial])
             colors = [int(c) for c in rng.integers(0, k, size=n)]
             pairs = make_scheduler(scheduler, n, seed=[seed, n, k, trial, 1])
-            _, _, metrics = run(init_configuration(colors, k), pairs,
-                                UntilQuiescent(cap),
-                                assertions="safety", trace="off")
+            final, _, metrics = run(init_configuration(colors, k), pairs,
+                                    UntilQuiescent(cap),
+                                    assertions="safety", trace="off")
             interactions.append(metrics.total_interactions)
             exchanges.append(metrics.ket_exchanges)
             converged += metrics.converged
+            verdict = metrics.converged and verdict_by_layers(final, colors)
+            if verdict and failed is None:
+                check, detail = verdict
+                failed = (f"trial {trial} of n={n}, k={k} failed check "
+                          f"{check}: {detail}\n")
         all_converged &= converged == trials
         rows.append({
             "n": n, "k": k, "trials": trials, "seed": seed,
@@ -373,4 +400,6 @@ def sweep_rows_through_run(n_values, k_values, trials, seed, scheduler,
             "mean_ket_exchanges": round(sum(exchanges) / trials, 6),
             "max_ket_exchanges": max(exchanges),
         })
-    return rows, EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    if failed is not None:
+        return rows, EXIT_VIOLATION, failed
+    return rows, EXIT_OK if all_converged else EXIT_NO_CONVERGENCE, ""

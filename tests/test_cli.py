@@ -20,7 +20,8 @@ from pluralitysim.cli import (EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE,
 from pluralitysim.engine import InvariantViolation, init_configuration, run
 from pluralitysim.protocol import _braket_rule
 from pluralitysim.schedulers import RoundRobin
-from test_engine import RULE_MUTANTS
+from test_engine import (RULE_MUTANTS, _never_broadcasts,
+                         _swaps_when_the_weight_sum_drops)
 
 
 def run_cli(capsys, *args):
@@ -215,15 +216,14 @@ class TestRunCommand:
 
     def test_exit_4_when_converged_outputs_miss_the_winner(self, capsys,
                                                            monkeypatch):
-        def no_broadcast(g, h, k):
-            return *_braket_rule(g, h, k)[:3], -1
-
-        monkeypatch.setattr("pluralitysim.protocol._braket_rule", no_broadcast)
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule",
+                            _never_broadcasts)
         code, out, err = run_cli(capsys, "run", "--colors", "0,1,1", "--k", "2")
         doc = metrics_of(out)
         assert (code, doc["converged"], doc["total_interactions"]) == (
             EXIT_VIOLATION, True, 3)
-        assert err == "converged but outputs {0: 1, 1: 2} != winner 1\n"
+        assert err == ("converged but failed check output: winner 1 but "
+                       "outputs {0: 1, 1: 2}\n")
 
     def test_released_adversary_converges(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--colors", "0,1,1",
@@ -584,9 +584,9 @@ def sweep_outcome(capsys, n_values, k_values, trials, seed, scheduler,
     code, out, err = run_cli(capsys, *argv)
     actual = code, [json.loads(line) for line in out.splitlines()], err
     try:
-        rows, code = sweep_rows_through_run(n_values, k_values, trials, seed,
-                                            scheduler, cap)
-        expected = code, rows, ""
+        rows, code, err = sweep_rows_through_run(n_values, k_values, trials,
+                                                 seed, scheduler, cap)
+        expected = code, rows, err
     except InvariantViolation as violation:
         expected = EXIT_VIOLATION, [], f"invariant violation: {violation}\n"
     return actual, expected
@@ -594,7 +594,8 @@ def sweep_outcome(capsys, n_values, k_values, trials, seed, scheduler,
 
 class TestSweepAgainstRun:
     # cmd_sweep steps each trial's codes through the engine's run loop;
-    # sweep_rows_through_run reads the same numbers from run()'s result.
+    # sweep_rows_through_run reads the same numbers from run()'s result and
+    # judges each converged trial with verdict_by_layers.
     @pytest.mark.parametrize("cap", [None, 0, 1])
     @pytest.mark.parametrize("scheduler", ["roundrobin", "random"])
     @pytest.mark.parametrize("seed", [0, 3])
@@ -611,8 +612,9 @@ class TestSweepAgainstRun:
                              ids=[mutant.__name__[1:] for mutant in RULE_MUTANTS])
     def test_each_cell_under_a_rule_mutant(self, capsys, monkeypatch, mutant,
                                            scheduler):
-        # The mutants raise, run to the cap (exit 3) or converge; under
-        # _drops_the_exchange_flag self-loops are quiescent at step 0.
+        # The mutants raise, run to the cap (exit 3), converge off the
+        # oracle (exit 4) or converge; under _drops_the_exchange_flag
+        # self-loops are quiescent at step 0.
         monkeypatch.setattr("pluralitysim.protocol._braket_rule", mutant)
         for n in (2, 3, 6):
             for k in (2, 3, 4):
@@ -684,6 +686,54 @@ class TestInvariantViolations:
         assert err.startswith("invariant violation: interaction changed "
                               "the ket multiset (step 0")
         assert out == ""
+
+
+class TestOracleGate:
+    """run and sweep judge every converged population against the oracle:
+    under a rule whose every transition passes both runtime checks but
+    that swaps on the weight sum, these calls converge off the predicted
+    multiset and exit 4 after writing their output."""
+
+    @pytest.mark.parametrize("args, line", [
+        (("run", "--random-colors", "uniform", "--n", "10", "--k", "4",
+          "--seed", "2"),
+         "converged but failed check stable-multiset: reached [(0, 1), "
+         "(0, 1), (1, 0), (1, 1), (1, 1), (1, 2), (1, 3), (2, 3), (3, 0), "
+         "(3, 1)], predicted [(0, 1), (0, 1), (1, 1), (1, 1), (1, 1), (1, 2), "
+         "(1, 3), (2, 3), (3, 0), (3, 0)]"),
+        (("sweep", "--n-list", "6,8,10", "--k-list", "3,4,5", "--trials", "20"),
+         "trial 7 of n=6, k=4 failed check stable-multiset: reached [(0, 3), "
+         "(1, 3), (1, 3), (3, 0), (3, 1), (3, 1)], predicted [(0, 1), (1, 3), "
+         "(1, 3), (3, 0), (3, 1), (3, 3)]"),
+        (("sweep", "--n-list", "6,8,10", "--k-list", "3,4,5", "--trials", "20",
+          "--scheduler", "random"),
+         "trial 4 of n=6, k=3 failed check stable-multiset: reached [(0, 2), "
+         "(1, 2), (2, 0), (2, 1), (2, 2), (2, 2)], predicted [(0, 1), (1, 2), "
+         "(2, 0), (2, 2), (2, 2), (2, 2)]"),
+    ], ids=["run", "sweep-roundrobin", "sweep-random"])
+    def test_the_weight_sum_mutant_exits_4_naming_the_failed_check(
+            self, capsys, monkeypatch, args, line):
+        code, out, _ = run_cli(capsys, *args)
+        assert code == EXIT_OK and out
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule",
+                            _swaps_when_the_weight_sum_drops)
+        code, mutant_out, err = run_cli(capsys, *args)
+        assert (code, err) == (EXIT_VIOLATION, line + "\n")
+        assert mutant_out   # the metrics or rows are written before the exit
+
+    def test_a_failed_check_takes_precedence_over_a_missed_cap(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule",
+                            _swaps_when_the_weight_sum_drops)
+        # trial 7 of n=6, k=4 fails its check as above; a cap of one cycle
+        # leaves some n=10 trials short of quiescence
+        code, out, err = run_cli(capsys, "sweep", "--n-list", "6,10",
+                                 "--k-list", "4", "--trials", "8", "--cap", "1",
+                                 "--format", "json-lines")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == EXIT_VIOLATION
+        assert [row["converged"] for row in rows] == [8, 3]
+        assert err.startswith("trial 7 of n=6, k=4 failed check stable-multiset")
 
 
 class TestRunTrace:

@@ -528,6 +528,12 @@ def _swaps_when_the_weight_sum_drops(g, h, k):
     return bra_g * k + ket_g, bra_h * k + ket_h, exchanged, loop
 
 
+def _never_broadcasts(g, h, k):
+    # the shipped exchanges, but no self-loop ever writes its color: every
+    # transition passes both checks, and outputs stay the input colors
+    return *_braket_rule(g, h, k)[:3], -1
+
+
 RULE_MUTANTS = (_shifts_the_bra_of_g, _drops_the_exchange_flag,
                 _flags_still_transitions, _swaps_when_the_weight_sum_drops,
                 _clobber_kets)

@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 import oracle_reference
 from oracle_reference import (all_instances, all_states, checked_run_through_run,
                               instances_by_filter, least_sorted_rotation,
-                              reachable_states_by_search)
+                              reachable_states_by_search, verdict_by_layers)
 from pluralitysim import cli, engine, protocol, verify
-from pluralitysim.engine import InvariantViolation
+from pluralitysim.engine import (InvariantViolation, UntilQuiescent,
+                                 init_configuration, run)
 from pluralitysim.protocol import AgentState
+from pluralitysim.schedulers import (RoundRobin, StarvationAdversary,
+                                     UniformRandom)
 from pluralitysim.verify import (checked_run, enumerate_instances,
                                  random_instance, reachable_state_set,
                                  verify_battery)
-from test_engine import RULE_MUTANTS
+from test_engine import RULE_MUTANTS, _never_broadcasts
 
 
 @st.composite
@@ -227,6 +230,63 @@ class TestCheckedRunAgainstRun:
             assert (failure is None) == (cap_cycles is None)
             assert failure is None or all(
                 type(value) is int for value in (failure.k, *failure.colors))
+
+
+def _quiescent_ends(assertions):
+    """(ends, runs): ends lists (colors, final Configuration) for every
+    quiescent end of the 105 instances of enumerate_instances(6, 4) under
+    round-robin, a seeded uniform random schedule and, from two agents
+    on, an adversary that starves agents 0 and 1 for two rounds (not at
+    all at n = 2, where that pair is the only one); runs counts the runs."""
+    ends, runs = [], 0
+    for index, (k, colors) in enumerate(enumerate_instances(6, 4)):
+        n = len(colors)
+        schedules = [RoundRobin(n), UniformRandom(n, [index, 7])]
+        if n >= 2:
+            schedules.append(StarvationAdversary(n, (0, 1),
+                                                 0 if n == 2 else n * (n - 1)))
+        for scheduler in schedules:
+            final, _, metrics = run(init_configuration(colors, k), scheduler,
+                                    UntilQuiescent(100), assertions=assertions,
+                                    trace="off")
+            runs += 1
+            if metrics.converged:
+                ends.append((colors, final))
+    return ends, runs
+
+
+class TestJudgeUnderAnySchedule:
+    """A quiescent end of any schedule, fair or not, matches the oracle;
+    the gate that run and sweep apply needs no fairness to be sound."""
+
+    def test_every_quiescent_end_of_the_shipped_rule_passes(self):
+        ends, runs = _quiescent_ends("full")
+        # four instances have one agent, so no adversary
+        assert len(ends) == runs == 105 * 3 - 4
+        for colors, final in ends:
+            assert verify._judge(final.codes, colors, final.k) is None, colors
+
+    # The verdicts each rule's quiescent ends get: the two rules that flag
+    # or clobber every transition settle only with one agent, and only a
+    # rule that never broadcasts fails the output check.
+    @pytest.mark.parametrize("rule, verdicts", [
+        (RULE_MUTANTS[0], {None: 77, "stable-multiset": 232}),
+        (RULE_MUTANTS[1], {None: 68, "stable-multiset": 243}),
+        (RULE_MUTANTS[2], {None: 8}),
+        (RULE_MUTANTS[3], {None: 253, "stable-multiset": 58}),
+        (RULE_MUTANTS[4], {None: 8}),
+        (_never_broadcasts, {None: 137, "output": 174}),
+    ], ids=[rule.__name__[1:] for rule in (*RULE_MUTANTS, _never_broadcasts)])
+    def test_another_rule_gets_the_verdict_of_the_reference(
+            self, monkeypatch, rule, verdicts):
+        monkeypatch.setattr("pluralitysim.protocol._braket_rule", rule)
+        seen = Counter()
+        for colors, final in _quiescent_ends("off")[0]:
+            expected = verdict_by_layers(final, colors)
+            assert verify._judge(final.codes, colors, final.k) == expected, (
+                colors, final.codes)
+            seen[expected and expected[0]] += 1
+        assert seen == verdicts
 
 
 class TestVerifyBattery:
